@@ -9,7 +9,7 @@ from point evaluations plus first derivatives through a certified
 zero-interpolation scheme.
 """
 
-from .dpf import (DpfKey, PointFunction, Share, convert_share, deserialize_key,
+from .dpf import (DpfKey, PointFunction, Share, deserialize_key,
                   evaluate_all, evaluate_key, keygen, make_shares,
                   serialize_key)
 from .errors import (ArtifactMismatchError, FamilyViolationError,
@@ -18,6 +18,7 @@ from .field import Field, FieldElement, find_irreducible
 from .interpolation import (InterpolationScheme, build_scheme, hasse_monomial,
                             verify_scheme)
 from .matching import MatchingFamily, search_family, trivial_family, verify_family
+from .oracles import convert_share
 from .params import DpfParams, build_params, canonical_set, check_lift_condition
 
 __all__ = [

@@ -6,11 +6,12 @@ blinding vector over the order-m subgroup, attaches to each of the n
 interpolation points a share consisting of the blinded power vector and
 the point itself, and splits a correction vector additively into two
 masks.  A server holding key i = n*j + l evaluates any input x locally
-by converting its share (a point evaluation plus a scaled gradient,
-both weighted by the recovery coefficients) and projecting the inner
-product with its mask onto the constant coefficient.  Summing all 2n
-outputs mod p reconstructs the function value; any single key is
-distributed independently of the function.
+as one monomial in its share entries times one linear form in its mask,
+projected onto the constant coefficient; this is the collapsed form of
+the share conversion (value plus scaled gradient) whose vector form
+lives in the oracles as the reference.  Summing all 2n outputs mod p
+reconstructs the function value; any single key is distributed
+independently of the function.
 
 Randomness contract: key generation consumes the injected rng in a
 fixed documented order (blind vector first, one subgroup index per
@@ -112,49 +113,6 @@ def make_shares(params: DpfParams, family: MatchingFamily,
     return shares
 
 
-def convert_share(params: DpfParams, family: MatchingFamily,
-                  scheme: InterpolationScheme, slot: int, x: int,
-                  share: Share) -> tuple[FieldElement, ...]:
-    """Local share conversion for input x; uses only public data and the
-    share itself.
-
-    Entry 0 is the recovery-weighted evaluation of the database monomial
-    along the blinded powers; entries 1..h are the recovery-weighted
-    gradient, rescaled coordinate-wise by (share / point) so that the
-    dot product with the family vector reproduces the first derivative
-    by the chain rule.  Gradient factors keep the generic monomial form
-    (exponent vector u - e_i reduced mod m, scalar u_i mod p) so that
-    arbitrary matching families work, not just basis vectors.
-    """
-    if share.slot != slot:
-        raise ParameterError("share does not belong to the requested slot")
-    fld = params.field
-    m, p = params.m, params.p
-    u_x = family.u(x)
-    h = family.h
-    first = share.vector[:h]
-    point = share.vector[h]
-
-    value = fld.one
-    for i in range(h):
-        value = value * fld.pow(first[i], u_x[i] % m)
-
-    a0, a1 = scheme.coeffs[slot]
-    out = [a0 * value]
-    rescale = a1 * point.inverse()
-    for i in range(h):
-        scalar = u_x[i] % p
-        if scalar == 0:
-            out.append(fld.zero)
-            continue
-        grad = fld.one
-        for i2 in range(h):
-            exponent = (u_x[i2] - (1 if i2 == i else 0)) % m
-            grad = grad * fld.pow(first[i2], exponent)
-        out.append(rescale * first[i] * (fld.const(scalar) * grad))
-    return tuple(out)
-
-
 def keygen(params: DpfParams, family: MatchingFamily,
            scheme: InterpolationScheme, func: PointFunction,
            rng) -> list[DpfKey]:
@@ -203,15 +161,32 @@ def keygen(params: DpfParams, family: MatchingFamily,
 
 def evaluate_key(params: DpfParams, family: MatchingFamily,
                  scheme: InterpolationScheme, key: DpfKey, x: int) -> int:
-    """One server's output share at input x, a residue mod p."""
+    """One server's output share at input x, a residue mod p: the
+    constant term of value * (a0*mask[0] + a1/b * sum_i (u_i mod p)*mask[i+1])
+    with value = prod_i c_i^(u_i mod m), u = u_x, c the share entries, b
+    the share point and (a0, a1) the slot's recovery coefficients.
+
+    This is the mask's inner product with oracles.convert_share,
+    collapsed: each c_i lies in the order-m subgroup, so c_i times the
+    i-th partial derivative of the monomial is its value again.  The
+    field-op count depends on x and the family only.  The key must pass
+    check_key.
+    """
     if not 1 <= x <= family.size:
         raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
-    converted = convert_share(params, family, scheme, key.slot, x, key.share)
     fld = params.field
-    inner = fld.zero
-    for a, b in zip(key.mask, converted):
-        inner = inner + a * b
-    return inner.constant_term
+    m, p = params.m, params.p
+    share, mask = key.share.vector, key.mask
+    value = fld.one
+    linear = fld.zero
+    for i, u in enumerate(family.u(x)):
+        if u % m:
+            value = value * fld.pow(share[i], u % m)
+        if u % p:
+            linear = linear + fld.const(u % p) * mask[i + 1]
+    a0, a1 = scheme.coeffs[key.slot]
+    rescale = a1 * share[family.h].inverse()
+    return (value * (a0 * mask[0] + rescale * linear)).constant_term
 
 
 def evaluate_all(params: DpfParams, family: MatchingFamily,
@@ -219,6 +194,28 @@ def evaluate_all(params: DpfParams, family: MatchingFamily,
     """Full-domain evaluation (one residue per x in [1, N])."""
     return [evaluate_key(params, family, scheme, key, x)
             for x in range(1, family.size + 1)]
+
+
+def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
+              key: DpfKey) -> None:
+    """Reject a key that evaluate_key cannot serve: wrong vector length
+    for the family's h, an index that disagrees with its slot, a share
+    point other than the slot's interpolation point, or a share entry
+    outside the order-m subgroup (evaluate_key relies on c_i^m = 1)."""
+    n = scheme.n
+    if len(key.mask) != h + 1 or len(key.share.vector) != h + 1:
+        raise ParameterError(
+            f"key vectors have lengths {len(key.mask)} and "
+            f"{len(key.share.vector)}, expected {h + 1} for h={h}")
+    if not 0 <= key.slot < n or key.index != n * key.half + key.slot:
+        raise ParameterError(
+            f"key index {key.index} does not match its slot {key.slot}")
+    if key.share.vector[h] != scheme.points[key.slot]:
+        raise ParameterError(
+            f"key share point is not the interpolation point of slot {key.slot}")
+    for c in key.share.vector[:h]:
+        if not params.field.in_subgroup(c, params.m):
+            raise ParameterError("key share entry outside the order-m subgroup")
 
 
 # ---------------------------------------------------------------------------

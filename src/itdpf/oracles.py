@@ -1,11 +1,15 @@
 """Independent brute-force oracles for every algebraic identity in the scheme.
 
 Each oracle recomputes a quantity along an arithmetic path disjoint
-from the production code: where key evaluation multiplies monomial
-powers, the oracles build the explicit exponent-coefficient table of
-the blinded database polynomial and read values, derivatives and the
-constant term off that table.  A corrupted recovery coefficient or
-family vector therefore shows up as a cross-path mismatch.
+from the production code.  Key evaluation multiplies one monomial by one
+linear form in the mask; the oracles keep two references instead.  The
+vector-form share conversion (convert_share) spells out the
+recovery-weighted value and the full chain-rule gradient, and the
+explicit exponent-coefficient table of the blinded database polynomial
+gives values, derivatives and the constant term directly.  The two
+references are checked against each other, and production against the
+vector form, so a corrupted recovery coefficient or family vector shows
+up as a cross-path mismatch.
 
 Security is checked as exact distribution equality under full
 enumeration of the blinding space (the claim is perfect, so sampling
@@ -15,12 +19,11 @@ argument for the additive masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
-from .dpf import (PointFunction, Share, convert_share, keygen, make_shares,
-                  serialize_key, coeff_width, key_byte_length, KEY_HEADER_LEN,
-                  _pack_elements)
-from .errors import FamilyViolationError
+from .dpf import (PointFunction, Share, keygen, make_shares, serialize_key,
+                  key_byte_length, KEY_HEADER_LEN, _pack_elements)
+from .errors import FamilyViolationError, ParameterError
 from .field import FieldElement
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily, dot_mod, trivial_family
@@ -46,6 +49,53 @@ class OracleReport:
             "failures": self.failures,
             **({"skipped": self.skipped} if self.skipped else {}),
         }
+
+
+def convert_share(params: DpfParams, family: MatchingFamily,
+                  scheme: InterpolationScheme, slot: int, x: int,
+                  share: Share) -> tuple[FieldElement, ...]:
+    """Local share conversion for input x; uses only public data and the
+    share itself.
+
+    Entry 0 is the recovery-weighted evaluation of the database monomial
+    along the blinded powers; entries 1..h are the recovery-weighted
+    gradient, rescaled coordinate-wise by (share / point) so that the
+    dot product with the family vector reproduces the first derivative
+    by the chain rule.  Gradient factors keep the generic monomial form
+    (exponent vector u - e_i reduced mod m, scalar u_i mod p) so that
+    arbitrary matching families work, not just basis vectors.
+
+    This is the reference form, O(h) field operations per nonzero u_i.
+    dpf.evaluate_key computes only its inner product with the mask,
+    collapsed to one monomial times one linear form.
+    """
+    if share.slot != slot:
+        raise ParameterError("share does not belong to the requested slot")
+    fld = params.field
+    m, p = params.m, params.p
+    u_x = family.u(x)
+    h = family.h
+    first = share.vector[:h]
+    point = share.vector[h]
+
+    value = fld.one
+    for i in range(h):
+        value = value * fld.pow(first[i], u_x[i] % m)
+
+    a0, a1 = scheme.coeffs[slot]
+    out = [a0 * value]
+    rescale = a1 * point.inverse()
+    for i in range(h):
+        scalar = u_x[i] % p
+        if scalar == 0:
+            out.append(fld.zero)
+            continue
+        grad = fld.one
+        for i2 in range(h):
+            exponent = (u_x[i2] - (1 if i2 == i else 0)) % m
+            grad = grad * fld.pow(first[i2], exponent)
+        out.append(rescale * first[i] * (fld.const(scalar) * grad))
+    return tuple(out)
 
 
 def reduced_polynomial_table(params: DpfParams, family: MatchingFamily,
@@ -105,33 +155,23 @@ def derivative_consistency_check(params: DpfParams, family: MatchingFamily,
                                  scheme: InterpolationScheme, alpha: int,
                                  x: int, blind: list[FieldElement]) -> OracleReport:
     """Compare table-side evaluations/derivatives at every interpolation
-    point against the production monomial-product and chain-rule paths."""
+    point against the vector-form share conversion.
+
+    Converting with unit recovery coefficients leaves entry 0 as the
+    monomial's value along the line and entries 1..h as its chain-rule
+    factors, whose dot product with v_alpha is the derivative."""
     report = OracleReport("derivative_consistency")
     fld = params.field
     table = reduced_polynomial_table(params, family, alpha, x, blind)
     shares = make_shares(params, family, scheme, alpha, blind)
-    u_x = family.u(x)
+    unit = replace(scheme, coeffs=((fld.one, fld.one),) * scheme.n)
     v_alpha = family.v(alpha)
-    h = family.h
     for slot, b in enumerate(scheme.points):
-        first = shares[slot].vector[:h]
-
-        # production path: monomial product and chain rule
-        value = fld.one
-        for i in range(h):
-            value = value * fld.pow(first[i], u_x[i] % params.m)
-        b_inv = b.inverse()
+        value, *factors = convert_share(params, family, unit, slot, x,
+                                        shares[slot])
         chain = fld.zero
-        for i in range(h):
-            scalar = u_x[i] % params.p
-            if scalar == 0:
-                continue
-            grad = fld.one
-            for i2 in range(h):
-                grad = grad * fld.pow(
-                    first[i2], (u_x[i2] - (1 if i2 == i else 0)) % params.m)
-            line_deriv = fld.const(v_alpha[i] % params.p) * b_inv * first[i]
-            chain = chain + fld.const(scalar) * grad * line_deriv
+        for v, factor in zip(v_alpha, factors):
+            chain = chain + fld.const(v % params.p) * factor
 
         table_value = _table_eval(params, table, b)
         table_deriv = _table_derivative(params, table, b)

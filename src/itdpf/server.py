@@ -6,9 +6,12 @@ addressed to this server's index, then issues point-evaluation or
 private-retrieval requests; the server never sees any other key, so the
 bytes it receives are one key plus public inputs.
 
-The stored key slot is guarded by a lock; a later upload replaces it so
-one long-running server can serve many independent queries.  Evaluation
-is pure, hence concurrent connections need no further coordination.
+An upload is checked (dpf.check_key) before it is stored, so a
+malformed key is refused at upload instead of failing every later
+request.  The stored key slot is guarded by a lock; a later upload
+replaces it so one long-running server can serve many independent
+queries.  Evaluation is pure, hence concurrent connections need no
+further coordination.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import socket
 import threading
 
 from . import protocol
-from .dpf import DpfKey, deserialize_key, evaluate_all, evaluate_key
+from .dpf import (DpfKey, check_key, deserialize_key, evaluate_all,
+                  evaluate_key)
 from .errors import KeyParseError, ParameterError
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
@@ -69,6 +73,9 @@ class EvalServer:
         self._key: DpfKey | None = None
         self._key_lock = threading.Lock()
         self._sock = socket.create_server((host, port))
+        # Set once here: shutdown() may close the socket before the
+        # accept loop starts, and a closed socket just ends that loop.
+        self._sock.settimeout(0.2)
         self.port = self._sock.getsockname()[1]
         self._stop = threading.Event()
         max_threads = int(os.environ.get("IDPF_THREADS", "8"))
@@ -77,7 +84,6 @@ class EvalServer:
     # -- lifecycle ----------------------------------------------------------
 
     def serve_forever(self):
-        self._sock.settimeout(0.2)
         while not self._stop.is_set():
             try:
                 conn, _ = self._sock.accept()
@@ -139,6 +145,7 @@ class EvalServer:
             return protocol.error_message(
                 protocol.ERR_KEY_INDEX,
                 f"key index {key.index} does not match server {self.index}")
+        check_key(self.params, self.scheme, self.family.h, key)
         with self._key_lock:
             self._key = key
         return protocol.pack(protocol.KEY_UPLOAD)  # bare ack

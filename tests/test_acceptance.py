@@ -235,6 +235,7 @@ def test_criterion_9_distributed_demo(tmp_path_factory):
                 proc.terminate()
             for proc in procs:
                 proc.wait(timeout=10)
+                proc.stdout.close()
     elapsed = time.monotonic() - start
     _announce(9, ok and elapsed < 60,
               f"PIR demo over real server processes retrieved every entry "

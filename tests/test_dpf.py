@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from itdpf.dpf import (DpfKey, PointFunction, Share, convert_share,
+from itdpf.dpf import (DpfKey, PointFunction, Share,
                        deserialize_key, evaluate_all, evaluate_key,
                        key_byte_length, key_from_json, key_to_json, keygen,
                        make_shares, serialize_key)
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
 from itdpf.interpolation import InterpolationScheme
 from itdpf.matching import MatchingFamily, trivial_family
+from itdpf.oracles import convert_share
 
 
 def _sum_eval(params, family, scheme, keys, x):
