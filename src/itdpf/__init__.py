@@ -9,7 +9,7 @@ from point evaluations plus first derivatives through a certified
 zero-interpolation scheme.
 """
 
-from .dpf import (DpfKey, PointFunction, Share, deserialize_key,
+from .dpf import (DpfKey, PointFunction, deserialize_key,
                   evaluate_all, evaluate_key, keygen, make_shares,
                   serialize_key)
 from .errors import (ArtifactMismatchError, FamilyViolationError,
@@ -25,7 +25,7 @@ __all__ = [
     "ArtifactMismatchError", "DpfKey", "DpfParams", "FamilyViolationError",
     "Field", "FieldElement", "InterpolationScheme", "KeyParseError",
     "LiftInconsistentError", "MatchingFamily", "ParameterError",
-    "PointFunction", "Share", "build_params", "build_scheme",
+    "PointFunction", "build_params", "build_scheme",
     "canonical_set", "check_lift_condition", "convert_share",
     "deserialize_key", "evaluate_all", "evaluate_key", "find_irreducible",
     "hasse_monomial", "keygen", "make_shares", "search_family",

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import client as client_mod
 from . import dpf, interpolation, matching, oracles, params as params_mod
+from . import protocol
 from . import server as server_mod
 from .errors import (ArtifactMismatchError, FamilyViolationError,
                      KeyParseError, LiftInconsistentError, ParameterError)
@@ -67,6 +68,13 @@ def _load_scheme(path: str, params):
         raise ParameterError(
             f"scheme file fails its certificate at s={list(cert.failed_exponents)}")
     return scheme
+
+
+def _load_artifacts(args):
+    """params, its file digest, scheme and family of --params/--scheme/--family."""
+    params, digest = _load_params(args.params)
+    return (params, digest, _load_scheme(args.scheme, params),
+            _load_family(args.family, params))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -131,9 +139,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    params, digest = _load_params(args.params)
-    scheme = _load_scheme(args.scheme, params)
-    family = _load_family(args.family, params)
+    params, digest, scheme, family = _load_artifacts(args)
     func = dpf.PointFunction(family.size, params.p, args.alpha, args.beta)
     keys = dpf.keygen(params, family, scheme, func, random.Random(args.seed))
     outdir = Path(args.outdir)
@@ -142,7 +148,7 @@ def cmd_keygen(args) -> int:
     sizes = []
     for key in keys:
         path = outdir / f"key_{key.index:03d}.json"
-        _write(str(path), dpf.key_to_json(params, key, digest))
+        _write(str(path), dpf.key_to_json(params, scheme.n, key, digest))
         size = len(dpf.serialize_key(params, key))
         sizes.append(size)
         paths.append(str(path))
@@ -153,10 +159,9 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, digest = _load_params(args.params)
-    scheme = _load_scheme(args.scheme, params)
-    family = _load_family(args.family, params)
-    key = dpf.key_from_json(params, _read(args.key), expected_digest=digest)
+    params, digest, scheme, family = _load_artifacts(args)
+    key = dpf.key_from_json(params, scheme.n, _read(args.key),
+                            expected_digest=digest)
     dpf.check_key(params, scheme, family.h, key)
     y = dpf.evaluate_key(params, family, scheme, key, args.x)
     print(f"y_{key.index}({args.x}) = {y}")
@@ -165,10 +170,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fulleval(args) -> int:
-    params, digest = _load_params(args.params)
-    scheme = _load_scheme(args.scheme, params)
-    family = _load_family(args.family, params)
-    key = dpf.key_from_json(params, _read(args.key), expected_digest=digest)
+    params, digest, scheme, family = _load_artifacts(args)
+    key = dpf.key_from_json(params, scheme.n, _read(args.key),
+                            expected_digest=digest)
     dpf.check_key(params, scheme, family.h, key)
     values = dpf.evaluate_all(params, family, scheme, key)
     print(f"key {key.index}: {values}")
@@ -183,7 +187,8 @@ def _verify_keys(params, family, scheme, digest, key_paths, reports):
     for path in key_paths:
         parse_report.cases += 1
         try:
-            key = dpf.key_from_json(params, _read(path), expected_digest=digest)
+            key = dpf.key_from_json(params, scheme.n, _read(path),
+                                    expected_digest=digest)
         except (ParameterError, KeyParseError) as exc:
             parse_report.failures.append({"path": path, "error": str(exc)})
             continue
@@ -218,9 +223,7 @@ def _verify_keys(params, family, scheme, digest, key_paths, reports):
 
 
 def cmd_verify(args) -> int:
-    params, digest = _load_params(args.params)
-    scheme = _load_scheme(args.scheme, params)
-    family = _load_family(args.family, params)
+    params, digest, scheme, family = _load_artifacts(args)
     rng = random.Random(args.seed)
     reports: list[oracles.OracleReport] = []
 
@@ -306,8 +309,7 @@ def cmd_bench(args) -> int:
     scheme = _load_scheme(args.scheme, params)
     h_values = _parse_int_list(args.h_values)
     audits = oracles.key_size_sweep(params, scheme, h_values)
-    width = dpf.coeff_width(params.p)
-    slope = 2 * params.tau * width
+    slope = 2 * params.tau * dpf.coeff_width(params.p)
     print(f"{'h':>6} {'measured':>10} {'formula':>10} {'ok':>4}")
     rows = []
     residual = 0
@@ -316,35 +318,34 @@ def cmd_bench(args) -> int:
               f"{'yes' if audit.ok else 'NO':>4}")
         rows.append({"h": audit.h, "measured": audit.measured,
                      "formula": audit.formula, "ok": audit.ok})
-        residual += abs(audit.measured - (audit.header + slope * (audit.h + 1)))
-    ok = all(a.ok for a in audits) and residual == 0
+        residual += abs(audit.measured - audit.formula)
+    ok = residual == 0
     _emit({"command": "bench", "ok": ok, "slope_bytes_per_h": slope,
            "affine_residual": residual, "rows": rows})
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_serve(args) -> int:
-    params, _ = _load_params(args.params)
-    scheme = _load_scheme(args.scheme, params)
-    family = _load_family(args.family, params)
+    params, _, scheme, family = _load_artifacts(args)
     server_mod.run_server(args.index, args.port, params, family, scheme,
                           db_path=args.db, host=args.host)
     return EXIT_OK
 
 
 def cmd_query(args) -> int:
-    params, _ = _load_params(args.params)
-    scheme = _load_scheme(args.scheme, params)
-    family = _load_family(args.family, params)
+    params, _, scheme, family = _load_artifacts(args)
     addresses = []
     for part in args.servers.split(","):
         host, _, port = part.strip().rpartition(":")
         if not host or not port.isdigit():
             raise ParameterError(f"bad server address {part!r}")
         addresses.append((host, int(port)))
-    result = client_mod.run_query(addresses, params, family, scheme,
-                                  args.alpha, args.beta, args.seed,
-                                  x=args.x, pir=args.pir)
+    try:
+        result = client_mod.run_query(addresses, params, family, scheme,
+                                      args.alpha, args.beta, args.seed,
+                                      x=args.x, pir=args.pir)
+    except (OSError, protocol.WireError) as exc:
+        raise client_mod.QueryError(f"{type(exc).__name__}: {exc}") from exc
     print(f"result = {result.value}")
     _emit({"command": "query", "value": result.value,
            "responses": list(result.responses),
@@ -353,29 +354,29 @@ def cmd_query(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """Chain all pipeline stages with the 6-server fixture defaults."""
+    """Chain all pipeline stages with the 6-server fixture defaults; stop
+    at the first stage that fails and return its exit code."""
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    paths = {name: str(workdir / f"{name}.json")
-             for name in ("params", "scheme", "family")}
-    rc = cmd_params(argparse.Namespace(primes="7,73", p=2, tau=None,
-                                       out=paths["params"]))
-    rc |= cmd_scheme(argparse.Namespace(params=paths["params"], n_start=None,
-                                        out=paths["scheme"]))
-    rc |= cmd_family(argparse.Namespace(params=paths["params"], h=args.h,
-                                        search=False, n_goal=0, seed=0,
-                                        budget=0, out=paths["family"]))
+    params, scheme, family = (str(workdir / f"{name}.json")
+                              for name in ("params", "scheme", "family"))
     keydir = workdir / "keys"
-    rc |= cmd_keygen(argparse.Namespace(
-        params=paths["params"], scheme=paths["scheme"],
-        family=paths["family"], alpha=args.alpha, beta=args.beta,
-        seed=args.seed, outdir=str(keydir)))
-    key_paths = sorted(str(p) for p in keydir.glob("key_*.json"))
-    rc |= cmd_verify(argparse.Namespace(
-        params=paths["params"], scheme=paths["scheme"],
-        family=paths["family"], keys=key_paths, exhaustive=False,
-        checks=25, budget=10 ** 6, seed=0))
-    _emit({"command": "demo", "ok": rc == 0, "workdir": str(workdir)})
+    artifacts = ["--params", params, "--scheme", scheme, "--family", family]
+    stages = [
+        ["params", "--primes", "7,73", "--p", "2", "--out", params],
+        ["scheme", "--params", params, "--out", scheme],
+        ["family", "--params", params, "--h", str(args.h), "--out", family],
+        ["keygen", *artifacts, "--alpha", str(args.alpha),
+         "--beta", str(args.beta), "--seed", str(args.seed),
+         "--outdir", str(keydir)],
+    ]
+    for argv in stages:
+        rc = main(argv)
+        if rc != EXIT_OK:
+            break
+    else:
+        keys = sorted(str(p) for p in keydir.glob("key_*.json"))
+        rc = main(["verify", *artifacts, "--checks", "25", "--keys", *keys])
+    _emit({"command": "demo", "ok": rc == EXIT_OK, "workdir": str(workdir)})
     return rc
 
 
@@ -388,6 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="itdpf",
         description="Multi-server distributed point functions over Z_p")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    artifacts = argparse.ArgumentParser(add_help=False)
+    for name in ("--params", "--scheme", "--family"):
+        artifacts.add_argument(name, required=True)
 
     p = sub.add_parser("params", help="synthesize a parameter file")
     p.add_argument("--primes", required=True,
@@ -415,35 +419,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("keygen", help="generate the 2n key files")
-    p.add_argument("--params", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("keygen", parents=[artifacts],
+                       help="generate the 2n key files")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("eval", help="evaluate one key at one input")
+    p = sub.add_parser("eval", parents=[artifacts],
+                       help="evaluate one key at one input")
     p.add_argument("--key", required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--family", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("fulleval", help="evaluate one key on the whole domain")
+    p = sub.add_parser("fulleval", parents=[artifacts],
+                       help="evaluate one key on the whole domain")
     p.add_argument("--key", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--family", required=True)
     p.set_defaults(func=cmd_fulleval)
 
-    p = sub.add_parser("verify", help="run the verification oracle suite")
-    p.add_argument("--params", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("verify", parents=[artifacts],
+                       help="run the verification oracle suite")
     p.add_argument("--keys", nargs="*", default=[])
     p.add_argument("--exhaustive", action="store_true",
                    help="sweep every (alpha, x) pair instead of sampling")
@@ -460,22 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-values", default="2,4,8,16,32", dest="h_values")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("serve", help="run one evaluation server")
+    p = sub.add_parser("serve", parents=[artifacts],
+                       help="run one evaluation server")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--params", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--family", required=True)
     p.add_argument("--db", default=None)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("query", help="query a running server fleet")
+    p = sub.add_parser("query", parents=[artifacts],
+                       help="query a running server fleet")
     p.add_argument("--servers", required=True,
                    help="comma-separated host:port list, one per key index")
-    p.add_argument("--params", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -5,8 +5,12 @@ A point function over [1, N] with output in Z_p is split into 2n keys
 blinding vector over the order-m subgroup, attaches to each of the n
 interpolation points a share consisting of the blinded power vector and
 the point itself, and splits a correction vector additively into two
-masks.  A server holding key i = n*j + l evaluates any input x locally
-as one monomial in its share entries times one linear form in its mask,
+masks.  Key i = n*j + l pairs mask j with share l and holds exactly its
+wire form: the index, the mask vector and the share vector (h blinded
+subgroup elements, then the interpolation point).  The slot l = i mod n
+is derived, never stored, and this module alone knows the layout.  A
+server holding key i evaluates any input x locally as one monomial in
+its share entries times one linear form in its mask,
 projected onto the constant coefficient; this is the collapsed form of
 the share conversion (value plus scaled gradient) whose vector form
 lives in the oracles as the reference.  Summing all 2n outputs mod p
@@ -21,14 +25,14 @@ seeded rng reproduces keys exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ArtifactMismatchError, KeyParseError, ParameterError
 from .field import FieldElement
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
-from .params import DpfParams, canonical_json_bytes
+from .params import (DpfParams, artifact_fields, canonical_json_bytes,
+                     parse_artifact)
 
 KEY_MAGIC = b"IDPF"
 KEY_VERSION = 1
@@ -51,31 +55,14 @@ class PointFunction:
         if not 0 <= self.beta < self.modulus:
             raise ParameterError(f"beta={self.beta} outside [0, {self.modulus})")
 
-    def value_at(self, x: int) -> int:
-        return self.beta if x == self.alpha else 0
-
-
-@dataclass(frozen=True)
-class Share:
-    """One server's share: h blinded subgroup elements plus its point."""
-
-    slot: int
-    vector: tuple[FieldElement, ...]
-
 
 @dataclass(frozen=True)
 class DpfKey:
-    index: int                       # i in [0, 2n)
-    half: int                        # j = i // n
-    slot: int                        # l = i % n
-    mask: tuple[FieldElement, ...]
-    share: Share
+    """Key i = n*j + l: mask j and the share of interpolation point l."""
 
-    def __post_init__(self):
-        if self.half not in (0, 1):
-            raise ParameterError(f"key half must be 0 or 1, got {self.half}")
-        if self.share.slot != self.slot:
-            raise ParameterError("key slot does not match its share")
+    index: int                       # i in [0, 2n)
+    mask: tuple[FieldElement, ...]   # h+1 additive mask entries
+    share: tuple[FieldElement, ...]  # h blinded entries, then the point
 
 
 def _check_context(params: DpfParams, family: MatchingFamily,
@@ -91,7 +78,7 @@ def _check_context(params: DpfParams, family: MatchingFamily,
 
 def make_shares(params: DpfParams, family: MatchingFamily,
                 scheme: InterpolationScheme, alpha: int,
-                blind: list[FieldElement]) -> list[Share]:
+                blind: list[FieldElement]) -> list[tuple[FieldElement, ...]]:
     """Shares of alpha: for each point b, the vector of coordinate-wise
     products blind_i * b^(v_i) followed by b itself, where v is the
     family's second vector at alpha (exponents mod m)."""
@@ -103,14 +90,9 @@ def make_shares(params: DpfParams, family: MatchingFamily,
         if not fld.in_subgroup(z, params.m):
             raise ParameterError("blind entry outside the order-m subgroup")
     v_alpha = family.v(alpha)
-    shares = []
-    for slot, b in enumerate(scheme.points):
-        first = tuple(
-            blind[i] * fld.pow(b, v_alpha[i] % params.m)
-            for i in range(family.h)
-        )
-        shares.append(Share(slot, first + (b,)))
-    return shares
+    return [tuple(blind[i] * fld.pow(b, v_alpha[i] % params.m)
+                  for i in range(family.h)) + (b,)
+            for b in scheme.points]
 
 
 def keygen(params: DpfParams, family: MatchingFamily,
@@ -151,12 +133,8 @@ def keygen(params: DpfParams, family: MatchingFamily,
     mask1 = tuple(t - o for t, o in zip(target, mask0))
 
     n = scheme.n
-    keys = []
-    for half, mask in ((0, mask0), (1, mask1)):
-        for slot in range(n):
-            keys.append(DpfKey(index=n * half + slot, half=half,
-                               slot=slot, mask=mask, share=shares[slot]))
-    return keys
+    return [DpfKey(index=n * half + slot, mask=mask, share=shares[slot])
+            for half, mask in enumerate((mask0, mask1)) for slot in range(n)]
 
 
 def evaluate_key(params: DpfParams, family: MatchingFamily,
@@ -176,7 +154,7 @@ def evaluate_key(params: DpfParams, family: MatchingFamily,
         raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
     fld = params.field
     m, p = params.m, params.p
-    share, mask = key.share.vector, key.mask
+    share, mask = key.share, key.mask
     value = fld.one
     linear = fld.zero
     for i, u in enumerate(family.u(x)):
@@ -184,7 +162,7 @@ def evaluate_key(params: DpfParams, family: MatchingFamily,
             value = value * fld.pow(share[i], u % m)
         if u % p:
             linear = linear + fld.const(u % p) * mask[i + 1]
-    a0, a1 = scheme.coeffs[key.slot]
+    a0, a1 = scheme.coeffs[key.index % scheme.n]
     rescale = a1 * share[family.h].inverse()
     return (value * (a0 * mask[0] + rescale * linear)).constant_term
 
@@ -199,21 +177,21 @@ def evaluate_all(params: DpfParams, family: MatchingFamily,
 def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
               key: DpfKey) -> None:
     """Reject a key that evaluate_key cannot serve: wrong vector length
-    for the family's h, an index that disagrees with its slot, a share
-    point other than the slot's interpolation point, or a share entry
-    outside the order-m subgroup (evaluate_key relies on c_i^m = 1)."""
+    for the family's h, an index outside [0, 2n), a share point other
+    than its slot's interpolation point, or a share entry outside the
+    order-m subgroup (evaluate_key relies on c_i^m = 1)."""
     n = scheme.n
-    if len(key.mask) != h + 1 or len(key.share.vector) != h + 1:
+    if len(key.mask) != h + 1 or len(key.share) != h + 1:
         raise ParameterError(
             f"key vectors have lengths {len(key.mask)} and "
-            f"{len(key.share.vector)}, expected {h + 1} for h={h}")
-    if not 0 <= key.slot < n or key.index != n * key.half + key.slot:
+            f"{len(key.share)}, expected {h + 1} for h={h}")
+    if not 0 <= key.index < 2 * n:
+        raise ParameterError(f"key index {key.index} outside [0, {2 * n})")
+    slot = key.index % n
+    if key.share[h] != scheme.points[slot]:
         raise ParameterError(
-            f"key index {key.index} does not match its slot {key.slot}")
-    if key.share.vector[h] != scheme.points[key.slot]:
-        raise ParameterError(
-            f"key share point is not the interpolation point of slot {key.slot}")
-    for c in key.share.vector[:h]:
+            f"key share point is not the interpolation point of slot {slot}")
+    for c in key.share[:h]:
         if not params.field.in_subgroup(c, params.m):
             raise ParameterError("key share entry outside the order-m subgroup")
 
@@ -246,11 +224,11 @@ def serialize_key(params: DpfParams, key: DpfKey) -> bytes:
     vectors as packed little-endian coefficient arrays."""
     return (KEY_MAGIC + bytes([KEY_VERSION]) + key.index.to_bytes(2, "big")
             + _pack_elements(params, key.mask)
-            + _pack_elements(params, key.share.vector))
+            + _pack_elements(params, key.share))
 
 
 def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
-    """Parse the binary form; n is the scheme size (fixes index -> slot)."""
+    """Parse the binary form; n is the scheme size (bounds the index)."""
     if len(data) < KEY_HEADER_LEN:
         raise KeyParseError("truncated key header", len(data))
     if data[:4] != KEY_MAGIC:
@@ -282,41 +260,45 @@ def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
         return tuple(elems), offset
 
     mask, offset = read_vector(KEY_HEADER_LEN)
-    share_vec, _ = read_vector(offset)
+    share, _ = read_vector(offset)
     if not 0 <= index < 2 * n:
         raise ParameterError(f"key index {index} outside [0, {2 * n})")
-    return DpfKey(index=index, half=index // n, slot=index % n,
-                  mask=mask, share=Share(index % n, share_vec))
+    return DpfKey(index=index, mask=mask, share=share)
 
 
-def key_to_json(params: DpfParams, key: DpfKey, params_digest: str) -> bytes:
+def key_to_json(params: DpfParams, n: int, key: DpfKey,
+                params_digest: str) -> bytes:
+    """Canonical JSON form; n is the scheme size.  j and ell are
+    divmod(i, n), written out for readers of the file."""
+    half, slot = divmod(key.index, n)
     obj = {
         "i": key.index,
-        "j": key.half,
-        "ell": key.slot,
+        "j": half,
+        "ell": slot,
         "omega": [e.as_string() for e in key.mask],
-        "c": [e.as_string() for e in key.share.vector],
+        "c": [e.as_string() for e in key.share],
         "params_digest": params_digest,
     }
     return canonical_json_bytes(obj)
 
 
-def key_from_json(params: DpfParams, data: bytes,
+def key_from_json(params: DpfParams, n: int, data: bytes,
                   expected_digest: str | None = None) -> DpfKey:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"key file is not valid JSON: {exc}") from exc
+    """Parse the JSON form; n is the scheme size.  The index must lie in
+    [0, 2n) and j, ell must equal divmod(i, n)."""
+    obj = parse_artifact(data, "key")
     if expected_digest is not None and obj.get("params_digest") != expected_digest:
         raise ArtifactMismatchError(
             "key params_digest does not match the params file")
     fld = params.field
-    try:
+    with artifact_fields("key"):
+        index, layout = obj["i"], [obj["j"], obj["ell"]]
         mask = tuple(fld.parse_element(s) for s in obj["omega"])
-        share_vec = tuple(fld.parse_element(s) for s in obj["c"])
-        key = DpfKey(index=int(obj["i"]), half=int(obj["j"]),
-                     slot=int(obj["ell"]), mask=mask,
-                     share=Share(int(obj["ell"]), share_vec))
-    except KeyError as exc:
-        raise ParameterError(f"key file missing key: {exc}") from exc
-    return key
+        share = tuple(fld.parse_element(s) for s in obj["c"])
+    if type(index) is not int or not 0 <= index < 2 * n:
+        raise ParameterError(
+            f"key index {index!r} is not an integer in [0, {2 * n})")
+    if layout != list(divmod(index, n)):
+        raise ParameterError(
+            f"key j, ell = {layout} disagree with i={index} for n={n}")
+    return DpfKey(index=index, mask=mask, share=share)

@@ -227,10 +227,11 @@ class Field:
     """
 
     def __init__(self, p: int, tau: int, zeta: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise ParameterError(f"p={p} is not prime")
+        # The bound first: trial division of a huge p would run for ages.
         if p > MAX_P:
             raise ParameterError(f"p={p} exceeds supported bound {MAX_P}")
+        if not is_prime(p):
+            raise ParameterError(f"p={p} is not prime")
         if not 1 <= tau <= MAX_TAU:
             raise ParameterError(f"tau={tau} out of supported range [1, {MAX_TAU}]")
         self.p = p

@@ -22,14 +22,14 @@ because m and p divide M.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 
 from .errors import LiftInconsistentError, ParameterError
 from .field import Field, FieldElement
 from .linalg import solve_linear_system
-from .params import DpfParams, canonical_json_bytes
+from .params import (DpfParams, artifact_fields, canonical_json_bytes,
+                     parse_artifact)
 
 
 def hasse_monomial(params: DpfParams, s: int, k: int, b: FieldElement) -> FieldElement:
@@ -238,20 +238,15 @@ def scheme_to_json(scheme: InterpolationScheme) -> bytes:
 
 
 def scheme_from_json(params: DpfParams, data: bytes) -> InterpolationScheme:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"scheme file is not valid JSON: {exc}") from exc
+    obj = parse_artifact(data, "scheme")
     fld = params.field
-    try:
+    with artifact_fields("scheme"):
         points = tuple(fld.parse_element(s) for s in obj["B"])
         point_logs = tuple(int(d) for d in obj["B_logs"])
         coeffs = tuple(
             (fld.parse_element(r[0]), fld.parse_element(r[1])) for r in obj["A"])
         base = tuple(fld.parse_element(s) for s in obj["mult1"])
         n = int(obj["n"])
-    except KeyError as exc:
-        raise ParameterError(f"scheme file missing key: {exc}") from exc
     if not (len(points) == len(point_logs) == len(coeffs) == n):
         raise ParameterError("scheme file is internally inconsistent")
     for b, d in zip(points, point_logs):

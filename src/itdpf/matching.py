@@ -9,12 +9,12 @@ place where they convert to 0-based storage.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .params import DpfParams, canonical_json_bytes
+from .params import (DpfParams, artifact_fields, canonical_json_bytes,
+                     parse_artifact)
 
 
 @dataclass(frozen=True)
@@ -156,18 +156,13 @@ def family_to_json(family: MatchingFamily) -> bytes:
 
 
 def family_from_json(data: bytes) -> MatchingFamily:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"family file is not valid JSON: {exc}") from exc
-    try:
+    obj = parse_artifact(data, "family")
+    with artifact_fields("family"):
         U = tuple(tuple(int(x) for x in row) for row in obj["U"])
         V = tuple(tuple(int(x) for x in row) for row in obj["V"])
         fam = MatchingFamily(obj["M"], obj["h"], U, V, bool(obj["certified"]))
-    except KeyError as exc:
-        raise ParameterError(f"family file missing key: {exc}") from exc
-    if len(U) != obj["N"] or len(V) != obj["N"]:
-        raise ParameterError("family file N does not match vector count")
+        if len(U) != obj["N"] or len(V) != obj["N"]:
+            raise ParameterError("family file N does not match vector count")
     if any(len(u) != fam.h for u in U) or any(len(v) != fam.h for v in V):
         raise ParameterError("family file vector length does not match h")
     return fam

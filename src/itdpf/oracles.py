@@ -4,7 +4,8 @@ Each oracle recomputes a quantity along an arithmetic path disjoint
 from the production code.  Key evaluation multiplies one monomial by one
 linear form in the mask; the oracles keep two references instead.  The
 vector-form share conversion (convert_share) spells out the
-recovery-weighted value and the full chain-rule gradient, and the
+recovery-weighted value and the full chain-rule gradient of one share
+vector, given the interpolation point's index (the slot), and the
 explicit exponent-coefficient table of the blinded database polynomial
 gives values, derivatives and the constant term directly.  The two
 references are checked against each other, and production against the
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
-from .dpf import (PointFunction, Share, keygen, make_shares, serialize_key,
+from .dpf import (PointFunction, keygen, make_shares, serialize_key,
                   key_byte_length, KEY_HEADER_LEN, _pack_elements)
-from .errors import FamilyViolationError, ParameterError
+from .errors import FamilyViolationError
 from .field import FieldElement
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily, dot_mod, trivial_family
@@ -53,9 +54,9 @@ class OracleReport:
 
 def convert_share(params: DpfParams, family: MatchingFamily,
                   scheme: InterpolationScheme, slot: int, x: int,
-                  share: Share) -> tuple[FieldElement, ...]:
-    """Local share conversion for input x; uses only public data and the
-    share itself.
+                  share: tuple[FieldElement, ...]) -> tuple[FieldElement, ...]:
+    """Local share conversion for input x at interpolation point `slot`;
+    uses only public data and the share vector itself.
 
     Entry 0 is the recovery-weighted evaluation of the database monomial
     along the blinded powers; entries 1..h are the recovery-weighted
@@ -69,14 +70,12 @@ def convert_share(params: DpfParams, family: MatchingFamily,
     dpf.evaluate_key computes only its inner product with the mask,
     collapsed to one monomial times one linear form.
     """
-    if share.slot != slot:
-        raise ParameterError("share does not belong to the requested slot")
     fld = params.field
     m, p = params.m, params.p
     u_x = family.u(x)
     h = family.h
-    first = share.vector[:h]
-    point = share.vector[h]
+    first = share[:h]
+    point = share[h]
 
     value = fld.one
     for i in range(h):
@@ -266,9 +265,11 @@ def check_distribution_equality(params: DpfParams, family: MatchingFamily,
             share = make_shares(params, family, scheme, func.alpha,
                                 list(blind))[slot]
             if as_bytes:
-                out.append(_pack_share_bytes(params, share))
+                # The wire serializer's packer: exactly the share bytes a
+                # server receives in its key upload.
+                out.append(_pack_elements(params, share))
             else:
-                out.append(tuple(e.enc for e in share.vector))
+                out.append(tuple(e.enc for e in share))
         out.sort()
         return out
 
@@ -306,12 +307,6 @@ def check_distribution_equality(params: DpfParams, family: MatchingFamily,
                 seen.add(mask1)
             report.cases += 1
     return report
-
-
-def _pack_share_bytes(params: DpfParams, share: Share) -> bytes:
-    # Same packer the wire serializer uses, so the multiset comparison is
-    # over exactly the bytes a server would receive in its key upload.
-    return _pack_elements(params, share.vector)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ParameterError
@@ -81,11 +82,6 @@ class DpfParams:
     @property
     def r(self) -> int:
         return len(self.primes)
-
-    def require_subgroup(self, a: FieldElement) -> None:
-        if not self.field.in_subgroup(a, self.m):
-            raise ParameterError(
-                f"element {a.as_string()} is not an m-th root of unity")
 
 
 def _multiplicative_order(p: int, m: int) -> int:
@@ -189,6 +185,31 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def parse_artifact(data: bytes, what: str) -> dict:
+    """The JSON object of an artifact file; anything else is a
+    ParameterError."""
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:    # bad JSON or bad UTF-8
+        raise ParameterError(f"{what} file is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} file is not a JSON object")
+    return obj
+
+
+@contextmanager
+def artifact_fields(what: str):
+    """Read an artifact's fields: a missing key or a value of the wrong
+    JSON type or shape becomes a ParameterError."""
+    try:
+        yield
+    except ParameterError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
+        raise ParameterError(f"{what} file is malformed: {exc!r}") from exc
+
+
 def params_to_json(params: DpfParams) -> bytes:
     obj = {
         "primes": list(params.primes),
@@ -208,11 +229,8 @@ def params_to_json(params: DpfParams) -> bytes:
 
 
 def params_from_json(data: bytes) -> DpfParams:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"params file is not valid JSON: {exc}") from exc
-    try:
+    obj = parse_artifact(data, "params")
+    with artifact_fields("params"):
         fld = Field(obj["p"], obj["tau"], tuple(obj["zeta"]))
         gamma = fld.parse_element(obj["gamma"])
         H = tuple(fld.parse_element(s) for s in obj["H"])
@@ -222,9 +240,7 @@ def params_from_json(data: bytes) -> DpfParams:
             S_m=tuple(obj["S_m"]), S_M=tuple(obj["S_M"]),
             e=obj["e"], n_target=obj["n_target"],
         )
-    except KeyError as exc:
-        raise ParameterError(f"params file missing key: {exc}") from exc
-    _validate_loaded_params(params)
+        _validate_loaded_params(params)
     return params
 
 

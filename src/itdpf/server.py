@@ -11,14 +11,15 @@ malformed key is refused at upload instead of failing every later
 request.  The stored key slot is guarded by a lock; a later upload
 replaces it so one long-running server can serve many independent
 queries.  Evaluation is pure, hence concurrent connections need no
-further coordination.
+further coordination.  At most MAX_CONNECTIONS connections are served
+at once, and one that stays silent for IDLE_TIMEOUT_S is closed, so
+idle clients cannot hold every handler slot.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import socket
 import threading
 
@@ -29,6 +30,11 @@ from .errors import KeyParseError, ParameterError
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
 from .params import DpfParams
+
+MAX_CONNECTIONS = 8     # connection handlers running at once
+# Shorter than the client's 10 s timeout, so a client queued behind idle
+# connections is served before it gives up.
+IDLE_TIMEOUT_S = 5.0
 
 
 def load_database(path: str, p: int) -> tuple[list[int], bytes]:
@@ -78,8 +84,7 @@ class EvalServer:
         self._sock.settimeout(0.2)
         self.port = self._sock.getsockname()[1]
         self._stop = threading.Event()
-        max_threads = int(os.environ.get("IDPF_THREADS", "8"))
-        self._conn_slots = threading.Semaphore(max(1, max_threads))
+        self._conn_slots = threading.Semaphore(MAX_CONNECTIONS)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -113,13 +118,12 @@ class EvalServer:
     def _serve_connection(self, conn: socket.socket):
         try:
             with conn:
+                conn.settimeout(IDLE_TIMEOUT_S)
                 while True:
-                    try:
-                        msg = protocol.recv_message(conn)
-                    except (ConnectionError, protocol.WireError):
-                        return
-                    reply = self._handle(msg)
-                    protocol.send_message(conn, reply)
+                    msg = protocol.recv_message(conn)
+                    protocol.send_message(conn, self._handle(msg))
+        except (ConnectionError, TimeoutError, protocol.WireError):
+            pass    # the peer closed, went idle or broke the framing
         finally:
             self._conn_slots.release()
 

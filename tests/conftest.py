@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from itdpf.interpolation import build_scheme
 from itdpf.matching import trivial_family
 from itdpf.params import build_params
+
+# Example run times swing with the host's load; what the property tests
+# check is their outcome, so no example has a deadline.
+settings.register_profile("itdpf", deadline=None)
+settings.load_profile("itdpf")
 
 # Fixture A: binary output group, the 6-server regime (m = 7*73 = 511,
 # the whole multiplicative group of F_512).

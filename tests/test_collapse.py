@@ -13,7 +13,8 @@ from itdpf.oracles import convert_share
 
 
 def _reference(params, family, scheme, key, x):
-    conv = convert_share(params, family, scheme, key.slot, x, key.share)
+    conv = convert_share(params, family, scheme, key.index % scheme.n, x,
+                         key.share)
     inner = params.field.zero
     for a, b in zip(key.mask, conv):
         inner = inner + a * b

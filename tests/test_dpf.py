@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from itdpf.dpf import (DpfKey, PointFunction, Share,
+from itdpf.dpf import (DpfKey, PointFunction,
                        deserialize_key, evaluate_all, evaluate_key,
                        key_byte_length, key_from_json, key_to_json, keygen,
                        make_shares, serialize_key)
@@ -28,7 +29,7 @@ def test_shares_with_zero_exponent_vector(params_b, scheme_b):
     blind = [params_b.H[rng.randrange(6)] for _ in range(2)]
     shares = make_shares(params_b, family, scheme_b, 1, blind)
     for share, point in zip(shares, scheme_b.points):
-        assert share.vector == (*blind, point)
+        assert share == (*blind, point)
 
 
 def test_shares_with_unit_blind(params_b, scheme_b, family_b8):
@@ -37,7 +38,7 @@ def test_shares_with_unit_blind(params_b, scheme_b, family_b8):
     v = family_b8.v(3)
     for share, point in zip(shares, scheme_b.points):
         for i in range(8):
-            assert share.vector[i] == point ** (v[i] % params_b.m)
+            assert share[i] == point ** (v[i] % params_b.m)
 
 
 def test_shares_match_direct_exponentiation(params_b, scheme_b):
@@ -49,8 +50,8 @@ def test_shares_match_direct_exponentiation(params_b, scheme_b):
     for share, point in zip(shares, scheme_b.points):
         for i in range(3):
             expected = blind[i] * point ** (v[i] % params_b.m)
-            assert share.vector[i] == expected
-        assert share.vector[3] == point
+            assert share[i] == expected
+        assert share[3] == point
 
 
 def test_shares_reject_blind_outside_subgroup(params_b, scheme_b, family_b8):
@@ -82,7 +83,7 @@ def test_convert_share_basis_structure(params_b, scheme_b, family_b8):
         conv = convert_share(params_b, family_b8, scheme_b, slot, x, shares[slot])
         a0, a1 = scheme_b.coeffs[slot]
         point = scheme_b.points[slot]
-        c_x = shares[slot].vector[x - 1]
+        c_x = shares[slot][x - 1]
         assert conv[0] == a0 * c_x                      # single monomial value
         assert conv[x] == a1 * c_x * point.inverse()    # gradient is basis-like
         for i in range(1, 9):
@@ -152,8 +153,9 @@ def test_keygen_index_layout(params_a, scheme_a, family_a16):
     keys = keygen(params_a, family_a16, scheme_a,
                   PointFunction(16, 2, 1, 1), random.Random(0))
     for key in keys:
-        assert key.index == scheme_a.n * key.half + key.slot
-        assert key.share.vector[-1] == scheme_a.points[key.slot]
+        half, slot = divmod(key.index, scheme_a.n)
+        assert key.index == scheme_a.n * half + slot
+        assert key.share[-1] == scheme_a.points[slot]
 
 
 def test_correctness_binary_fixture_spot(params_a, scheme_a, family_a16):
@@ -203,8 +205,7 @@ def test_zero_function_sums_to_zero_everywhere(params_b, scheme_b, family_b8):
 def test_zero_mask_evaluates_to_zero(params_b, scheme_b, family_b8):
     keys = keygen(params_b, family_b8, scheme_b,
                   PointFunction(8, 5, 1, 1), random.Random(4))
-    zeroed = DpfKey(keys[0].index, keys[0].half, keys[0].slot,
-                    (params_b.field.zero,) * 9, keys[0].share)
+    zeroed = DpfKey(keys[0].index, (params_b.field.zero,) * 9, keys[0].share)
     for x in range(1, 9):
         assert evaluate_key(params_b, family_b8, scheme_b, zeroed, x) == 0
 
@@ -272,7 +273,7 @@ def test_single_share_blind_map_is_bijection(params_b, scheme_b, family_b2):
                     blind = [params_b.H[c0], params_b.H[c1]]
                     share = make_shares(params_b, family_b2, scheme_b,
                                         alpha, blind)[slot]
-                    images.add((share.vector[0].enc, share.vector[1].enc))
+                    images.add((share[0].enc, share[1].enc))
             assert len(images) == m * m
 
 
@@ -299,8 +300,8 @@ def test_key_distribution_equality_exhaustive(params_b, scheme_b, family_b2):
                 blind = [params_b.H[c0], params_b.H[c1]]
                 share = make_shares(params_b, family_b2, scheme_b,
                                     func.alpha, blind)[0]
-                share_code = (share.vector[0].enc * q
-                              + share.vector[1].enc) * q + share.vector[2].enc
+                share_code = (share[0].enc * q
+                              + share[1].enc) * q + share[2].enc
                 if half == 0:
                     for o in range(q ** 3):
                         out.append(o * shift + share_code)
@@ -370,15 +371,34 @@ def test_bad_magic_and_version(params_a, scheme_a, family_a16):
 def test_json_round_trip_and_digest_gate(params_b, scheme_b, family_b8):
     key = keygen(params_b, family_b8, scheme_b,
                  PointFunction(8, 5, 2, 2), random.Random(1))[3]
-    data = key_to_json(params_b, key, "d" * 64)
-    assert key_from_json(params_b, data, expected_digest="d" * 64) == key
-    assert key_from_json(params_b, data) == key   # digest check optional
+    data = key_to_json(params_b, scheme_b.n, key, "d" * 64)
+    assert key_from_json(params_b, scheme_b.n, data,
+                         expected_digest="d" * 64) == key
+    assert key_from_json(params_b, scheme_b.n, data) == key   # digest optional
     with pytest.raises(ArtifactMismatchError):
-        key_from_json(params_b, data, expected_digest="e" * 64)
+        key_from_json(params_b, scheme_b.n, data, expected_digest="e" * 64)
 
 
-def test_share_slot_consistency_enforced(params_b, scheme_b, family_b8):
-    keys = keygen(params_b, family_b8, scheme_b,
-                  PointFunction(8, 5, 1, 1), random.Random(2))
-    with pytest.raises(ParameterError):
-        DpfKey(0, 0, 0, keys[0].mask, Share(1, keys[1].share.vector))
+def _edited_key_json(params, scheme, family, **fields):
+    key = keygen(params, family, scheme, PointFunction(8, 5, 2, 2),
+                 random.Random(1))[scheme.n + 1]
+    obj = json.loads(key_to_json(params, scheme.n, key, "d" * 64))
+    assert (obj["j"], obj["ell"]) == (1, 1)
+    return json.dumps({**obj, **fields}).encode()
+
+
+@pytest.mark.parametrize("fields", [{"j": 0}, {"ell": 2}, {"j": 0, "ell": 1}])
+def test_json_layout_must_match_index(params_b, scheme_b, family_b8, fields):
+    data = _edited_key_json(params_b, scheme_b, family_b8, **fields)
+    with pytest.raises(ParameterError, match="disagree"):
+        key_from_json(params_b, scheme_b.n, data)
+
+
+@pytest.mark.parametrize("index", [-1, 8, 9, 65535])
+def test_json_index_out_of_range(params_b, scheme_b, family_b8, index):
+    assert scheme_b.n == 4
+    j, ell = divmod(index, scheme_b.n)
+    data = _edited_key_json(params_b, scheme_b, family_b8,
+                            i=index, j=j, ell=ell)
+    with pytest.raises(ParameterError, match="not an integer in"):
+        key_from_json(params_b, scheme_b.n, data)

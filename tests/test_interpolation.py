@@ -42,7 +42,7 @@ def test_hasse_unsupported_order(params_b):
 _PARAMS_B_CACHE = build_params([2, 3], 5)  # hypothesis cannot draw fixtures
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=29), st.integers(min_value=0, max_value=5),
        st.sampled_from([0, 1]))
 def test_hasse_well_defined_mod_M(s, log, k):

@@ -15,8 +15,7 @@ import pytest
 
 from itdpf import protocol
 from itdpf.cli import main
-from itdpf.dpf import (DpfKey, PointFunction, Share, check_key, keygen,
-                       serialize_key)
+from itdpf.dpf import DpfKey, PointFunction, check_key, keygen, serialize_key
 from itdpf.errors import ParameterError
 from itdpf.matching import trivial_family
 from itdpf.server import EvalServer
@@ -29,13 +28,12 @@ def _key0(params, scheme, family, seed=0):
 
 
 def _with_share(key, vector):
-    return DpfKey(key.index, key.half, key.slot, key.mask,
-                  Share(key.slot, tuple(vector)))
+    return DpfKey(key.index, key.mask, tuple(vector))
 
 
 def _malformed(params, scheme, family, case):
     key = _key0(params, scheme, family)
-    share = list(key.share.vector)
+    share = list(key.share)
     if case == "wrong_h":
         return _key0(params, scheme, trivial_family(params.M, family.h - 2))
     if case == "zero_point":
@@ -67,8 +65,8 @@ def test_check_key_rejects(params_b, scheme_b, family_b8, case):
 def test_check_key_rejects_index_slot_disagreement(params_b, scheme_b,
                                                    family_b8):
     key = _key0(params_b, scheme_b, family_b8)
-    moved = DpfKey(scheme_b.n + 1, 1, key.slot, key.mask, key.share)
-    with pytest.raises(ParameterError, match="does not match its slot"):
+    moved = DpfKey(scheme_b.n + 1, key.mask, key.share)
+    with pytest.raises(ParameterError, match="interpolation point of slot 1"):
         check_key(params_b, scheme_b, family_b8.h, moved)
 
 

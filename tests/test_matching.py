@@ -35,7 +35,7 @@ def test_trivial_family_degenerate_h1():
     assert verify_family(fam, S_30).ok
 
 
-@settings(max_examples=64, deadline=None)
+@settings(max_examples=64)
 @given(st.integers(min_value=1, max_value=64))
 def test_trivial_family_always_certifies(h):
     assert verify_family(trivial_family(1022, h), S_1022).ok

@@ -1,10 +1,11 @@
 import hashlib
 import random
 import socket
+import time
 
 import pytest
 
-from itdpf import protocol
+from itdpf import protocol, server as server_mod
 from itdpf.client import QueryError, run_query
 from itdpf.dpf import PointFunction, keygen, serialize_key
 from itdpf.errors import ParameterError
@@ -78,6 +79,30 @@ def test_malformed_eval_payload(fleet, params_b, scheme_b, family_b8):
         reply = protocol.request(sock, protocol.EVAL_REQ, b"\x00")
         assert reply.type == protocol.ERROR
         assert reply.error_name() == "BAD_REQUEST"
+
+
+def test_idle_connections_do_not_starve_a_server(fleet, params_b, scheme_b,
+                                                 family_b8, monkeypatch):
+    # Every handler slot of server 0 is held by a client that sends
+    # nothing.  The server closes those after the idle timeout, so a query
+    # issued while they wait completes well inside the client's own 10 s
+    # timeout.  The query connects to all servers at once and then waits
+    # on server 0, so its other connections are idle too: it starts once
+    # the idle clients have waited half the timeout, which leaves the
+    # other half for the query.
+    monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 0.8)
+    servers, db = fleet
+    idle = [socket.create_connection(("127.0.0.1", servers[0].port), timeout=5)
+            for _ in range(server_mod.MAX_CONNECTIONS)]
+    try:
+        time.sleep(0.4)
+        result = run_query(_addresses(servers), params_b, family_b8, scheme_b,
+                           alpha=2, beta=1, seed=2, pir=True)
+        assert result.value == db[1]
+        assert all(sock.recv(1) == b"" for sock in idle)   # closed by server
+    finally:
+        for sock in idle:
+            sock.close()
 
 
 # ---------------------------------------------------------------------------

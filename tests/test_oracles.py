@@ -231,7 +231,7 @@ def test_two_share_collusion_leaks_the_index(params_b, scheme_b, family_b8):
 
     def identify(shares):
         ratios = [x * y.inverse() for x, y in
-                  zip(shares[0].vector[:8], shares[1].vector[:8])]
+                  zip(shares[0][:8], shares[1][:8])]
         matches = []
         for cand in range(1, 9):
             v = family_b8.v(cand)

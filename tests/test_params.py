@@ -123,7 +123,7 @@ def test_build_params_rejections():
         build_params([4, 3], 5)       # non-prime factor
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.sampled_from([(2, 3), (2, 5), (3, 5), (2, 7), (3, 7)]),
        st.sampled_from([2, 3, 5, 7, 11]))
 def test_crt_containment_property(primes, p):
