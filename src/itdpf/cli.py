@@ -105,7 +105,7 @@ def cmd_params(args) -> int:
 
 def cmd_scheme(args) -> int:
     params, _ = _load_params(args.params)
-    scheme = interpolation.build_scheme(params, args.n_start)
+    scheme = interpolation.build_scheme(params)
     data = interpolation.scheme_to_json(scheme)
     _write(args.out, data)
     print(f"n={scheme.n} servers={2 * scheme.n}")
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scheme", help="search and certify an interpolation scheme")
     p.add_argument("--params", required=True)
-    p.add_argument("--n-start", type=int, default=None, dest="n_start")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scheme)
 

@@ -140,15 +140,16 @@ def keygen(params: DpfParams, family: MatchingFamily,
 def evaluate_key(params: DpfParams, family: MatchingFamily,
                  scheme: InterpolationScheme, key: DpfKey, x: int) -> int:
     """One server's output share at input x, a residue mod p: the
-    constant term of value * (a0*mask[0] + a1/b * sum_i (u_i mod p)*mask[i+1])
-    with value = prod_i c_i^(u_i mod m), u = u_x, c the share entries, b
-    the share point and (a0, a1) the slot's recovery coefficients.
+    constant term of a0 * value * (mask[0] - sum_i (u_i mod p)*mask[i+1])
+    with value = prod_i c_i^(u_i mod m), u = u_x, c the share entries and
+    a0 the slot's first recovery coefficient.
 
     This is the mask's inner product with oracles.convert_share,
     collapsed: each c_i lies in the order-m subgroup, so c_i times the
-    i-th partial derivative of the monomial is its value again.  The
-    field-op count depends on x and the family only.  The key must pass
-    check_key.
+    i-th partial derivative of the monomial is its value again, and the
+    gradient's factor a1 / b is -a0 by the closed-form lift, so no field
+    inverse is taken.  The field-op count depends on x and the family
+    only.  The key must pass check_key.
     """
     if not 1 <= x <= family.size:
         raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
@@ -162,9 +163,8 @@ def evaluate_key(params: DpfParams, family: MatchingFamily,
             value = value * fld.pow(share[i], u % m)
         if u % p:
             linear = linear + fld.const(u % p) * mask[i + 1]
-    a0, a1 = scheme.coeffs[key.index % scheme.n]
-    rescale = a1 * share[family.h].inverse()
-    return (value * (a0 * mask[0] + rescale * linear)).constant_term
+    a0 = scheme.coeffs[key.index % scheme.n][0]
+    return (a0 * value * (mask[0] - linear)).constant_term
 
 
 def evaluate_all(params: DpfParams, family: MatchingFamily,

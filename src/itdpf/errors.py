@@ -10,11 +10,11 @@ class ParameterError(ValueError):
 
 
 class LiftInconsistentError(RuntimeError):
-    """The multiplicity-2 lift system was inconsistent.
+    """A freshly built scheme failed its multiplicity-2 certificate.
 
-    The lift of a certified multiplicity-1 interpolation set is guaranteed
-    to be solvable, so this always signals a parameter or implementation
-    bug and must abort loudly rather than be worked around.
+    The closed-form lift of a multiplicity-1 set satisfies every row, so
+    this always signals a parameter or implementation bug and must abort
+    loudly rather than be worked around.
     """
 
 

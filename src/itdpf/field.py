@@ -23,7 +23,7 @@ from .errors import ParameterError
 TABLE_LIMIT = 1 << 20
 
 MAX_P = 1 << 16
-MAX_TAU = 32
+MAX_ORDER = 1 << 32     # field orders p**tau stay below this
 
 
 def is_prime(n: int) -> bool:
@@ -152,7 +152,9 @@ def find_irreducible(p: int, tau: int) -> tuple[int, ...]:
         raise ParameterError(f"p={p} is not prime")
     if tau < 1:
         raise ParameterError(f"tau={tau} must be >= 1")
-    for low in itertools.product(range(p), repeat=tau):
+    # X divides a candidate of degree >= 2 with a zero constant term.
+    constants = range(1 if tau >= 2 else 0, p)
+    for low in itertools.product(constants, *[range(p)] * (tau - 1)):
         zeta = list(low) + [1]
         if is_irreducible(zeta, p):
             return tuple(zeta)
@@ -227,13 +229,14 @@ class Field:
     """
 
     def __init__(self, p: int, tau: int, zeta: tuple[int, ...] | None = None):
-        # The bound first: trial division of a huge p would run for ages.
+        # The bounds first: trial division of a huge p or a search over a
+        # huge field would run for ages.  p >= 2 makes p**32 >= MAX_ORDER.
         if p > MAX_P:
             raise ParameterError(f"p={p} exceeds supported bound {MAX_P}")
+        if tau < 1 or p ** min(tau, 32) >= MAX_ORDER:
+            raise ParameterError(f"tau={tau}: order p**tau outside [p, {MAX_ORDER})")
         if not is_prime(p):
             raise ParameterError(f"p={p} is not prime")
-        if not 1 <= tau <= MAX_TAU:
-            raise ParameterError(f"tau={tau} out of supported range [1, {MAX_TAU}]")
         self.p = p
         self.tau = tau
         if zeta is None:

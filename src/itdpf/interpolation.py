@@ -6,12 +6,14 @@ the canonical set of M,
 
     sum_l sum_k a[l][k] * Hasse_k(Z^s)(b_l)  =  1 if s == 0 else 0.
 
-It is found in two stages: a canonical search for the smallest B that
-interpolates the constant term from plain evaluations over the
-canonical set of m (multiplicity 1), then a lift that adds first
-derivatives to cover the canonical set of M (multiplicity 2).  The lift
-is guaranteed solvable for any certified multiplicity-1 set, so an
-inconsistent lift system aborts loudly.
+It is found in two stages: a canonical search for the smallest B whose
+coefficients c interpolate the constant term from plain evaluations
+over the canonical set of m (multiplicity 1), then the closed-form lift
+a[l] = (c_l, -c_l * b_l) to the canonical set of M (multiplicity 2).
+By CRT each s there is a t in the canonical set of m with s mod p in
+{0, 1}: the rows with s = 0 mod p have no derivative term and ask
+sum_l a_l0 b_l^t = [t == 0], and those with s = 1 mod p then ask
+sum_l a_l1 b_l^(t-1) = -[t == 0].  The certificate re-checks every row.
 
 Exponent conventions: a subgroup element b satisfies b^m = 1, so
 exponents reduce mod m; the scalar factor produced by differentiation
@@ -55,7 +57,6 @@ class InterpolationScheme:
     points: tuple[FieldElement, ...]              # B, in canonical order
     point_logs: tuple[int, ...]                   # discrete logs of B
     coeffs: tuple[tuple[FieldElement, FieldElement], ...]  # a[l] = (a_l0, a_l1)
-    base_coeffs: tuple[FieldElement, ...]         # multiplicity-1 diagnostics
 
     @property
     def n(self) -> int:
@@ -66,11 +67,11 @@ def find_interpolation_set(
     field: Field,
     H: tuple[FieldElement, ...],
     exponents,
-    n_start: int,
+    n_min: int,
 ) -> tuple[tuple[int, ...], tuple[FieldElement, ...]]:
     """Smallest multiplicity-1 interpolating subset of H for `exponents`.
 
-    For n = n_start, n_start + 1, ... the n-subsets of H are enumerated
+    For n = n_min, n_min + 1, ... the n-subsets of H are enumerated
     in discrete-log-lexicographic order and the first subset whose
     linear system  sum_l a_l * b_l^s = [s == 0]  is consistent wins, so
     the result is fully deterministic.  Escalation terminates because
@@ -79,12 +80,12 @@ def find_interpolation_set(
     """
     m = len(H)
     exponents = sorted(set(int(s) for s in exponents))
-    if n_start < 1:
-        raise ParameterError(f"n_start={n_start} must be >= 1")
+    if n_min < 1:
+        raise ParameterError(f"n_min={n_min} must be >= 1")
     rhs = [field.one if s == 0 else field.zero for s in exponents]
     # b_l = gamma^d, so b_l^s is just the subgroup element at index d*s.
     power_row = {s: [H[(d * s) % m] for d in range(m)] for s in exponents}
-    for n in range(n_start, m + 1):
+    for n in range(n_min, m + 1):
         for combo in itertools.combinations(range(m), n):
             rows = [[power_row[s][d] for d in combo] for s in exponents]
             solution = solve_linear_system(field, rows, rhs)
@@ -93,54 +94,15 @@ def find_interpolation_set(
     raise AssertionError("unreachable: the full subgroup interpolates")
 
 
-def find_mult1_scheme(params: DpfParams, n_start: int | None = None):
-    """Multiplicity-1 set and coefficients for the canonical set of m."""
-    if n_start is None:
-        n_start = params.n_target
-    return find_interpolation_set(params.field, params.H, params.S_m, n_start)
-
-
-def lift_to_mult2(
-    params: DpfParams, point_logs
-) -> tuple[tuple[FieldElement, FieldElement], ...]:
-    """Solve for the multiplicity-2 coefficients over the canonical set of M.
-
-    Unknowns are ordered (l, k) with the point index l major, and free
-    variables are zeroed, which pins a unique canonical matrix.  The
-    system is solvable whenever the points form a certified
-    multiplicity-1 set for the canonical set of m; an inconsistency is
-    therefore a parameter or implementation bug.
-    """
-    fld = params.field
-    points = [params.H[d] for d in point_logs]
-    rows = []
-    rhs = []
-    for s in params.S_M:
-        row = []
-        for b in points:
-            row.append(hasse_monomial(params, s, 0, b))
-            row.append(hasse_monomial(params, s, 1, b))
-        rows.append(row)
-        rhs.append(fld.one if s == 0 else fld.zero)
-    solution = solve_linear_system(fld, rows, rhs)
-    if solution is None:
-        raise LiftInconsistentError(
-            f"multiplicity-2 lift inconsistent for points {list(point_logs)}; "
-            "this contradicts the lift guarantee and signals a bug")
-    return tuple(
-        (solution[2 * i], solution[2 * i + 1]) for i in range(len(points))
-    )
-
-
-def build_scheme(params: DpfParams, n_start: int | None = None) -> InterpolationScheme:
-    """Run the full pipeline: multiplicity-1 search, lift, certification."""
-    point_logs, base_coeffs = find_mult1_scheme(params, n_start)
-    coeffs = lift_to_mult2(params, point_logs)
+def build_scheme(params: DpfParams) -> InterpolationScheme:
+    """Multiplicity-1 search from n_target, closed-form lift, certificate."""
+    point_logs, c = find_interpolation_set(params.field, params.H, params.S_m,
+                                           params.n_target)
+    points = tuple(params.H[d] for d in point_logs)
     scheme = InterpolationScheme(
-        points=tuple(params.H[d] for d in point_logs),
-        point_logs=tuple(point_logs),
-        coeffs=coeffs,
-        base_coeffs=base_coeffs,
+        points=points,
+        point_logs=point_logs,
+        coeffs=tuple((c_l, -(c_l * b)) for c_l, b in zip(c, points)),
     )
     cert = verify_scheme(params, scheme)
     if not cert.ok:
@@ -232,7 +194,7 @@ def scheme_to_json(scheme: InterpolationScheme) -> bytes:
         "B_logs": list(scheme.point_logs),
         "n": scheme.n,
         "A": [[a0.as_string(), a1.as_string()] for a0, a1 in scheme.coeffs],
-        "mult1": [a.as_string() for a in scheme.base_coeffs],
+        "mult1": [a0.as_string() for a0, _ in scheme.coeffs],
     }
     return canonical_json_bytes(obj)
 
@@ -245,12 +207,15 @@ def scheme_from_json(params: DpfParams, data: bytes) -> InterpolationScheme:
         point_logs = tuple(int(d) for d in obj["B_logs"])
         coeffs = tuple(
             (fld.parse_element(r[0]), fld.parse_element(r[1])) for r in obj["A"])
-        base = tuple(fld.parse_element(s) for s in obj["mult1"])
+        mult1 = tuple(fld.parse_element(s) for s in obj["mult1"])
         n = int(obj["n"])
     if not (len(points) == len(point_logs) == len(coeffs) == n):
         raise ParameterError("scheme file is internally inconsistent")
     for b, d in zip(points, point_logs):
         if not 0 <= d < params.m or params.H[d] != b:
             raise ParameterError("scheme points do not match the subgroup")
-    scheme = InterpolationScheme(points, point_logs, coeffs, base)
-    return scheme
+    if mult1 != tuple(a0 for a0, _ in coeffs):
+        raise ParameterError("scheme mult1 does not repeat the first column of A")
+    if any(a1 != -(a0 * b) for (a0, a1), b in zip(coeffs, points)):
+        raise ParameterError("scheme A[l][1] is not -A[l][0] * B[l]")
+    return InterpolationScheme(points, point_logs, coeffs)

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ParameterError
-from .field import Field, FieldElement, is_prime
+from .field import MAX_P, Field, FieldElement, is_prime
 
 MULTIPLICITY = 2  # derivative orders used everywhere are k in {0, 1}
+# Bound on M = m*p: the subgroup H and the canonical sets are enumerated.
+MAX_MODULUS = 1 << 20
 
 
 def canonical_set(modulus: int, prime_factors) -> list[int]:
@@ -84,6 +87,22 @@ class DpfParams:
         return len(self.primes)
 
 
+def _check_sizes(primes, p: int) -> None:
+    """Bound p and M = p * prod(primes) before anything is enumerated
+    or tested for primality by trial division."""
+    if not primes:
+        raise ParameterError("m needs at least one prime factor")
+    # A list among the primes would turn the product into a huge list.
+    if any(type(q) is not int for q in (p, *primes)):
+        raise ParameterError("p and the prime factors must be integers")
+    if p > MAX_P:
+        raise ParameterError(f"p={p} exceeds supported bound {MAX_P}")
+    M = p * math.prod(primes)
+    if not 0 < M <= MAX_MODULUS:
+        raise ParameterError(
+            f"M = m*p = {M} outside the supported range [1, {MAX_MODULUS}]")
+
+
 def _multiplicative_order(p: int, m: int) -> int:
     order = 1
     acc = p % m
@@ -103,6 +122,7 @@ def build_params(primes, p: int, tau_hint: int = 1) -> DpfParams:
     minimal valid extension degree honoring the hint.
     """
     primes = tuple(sorted(int(q) for q in primes))
+    _check_sizes(primes, p)
     if len(set(primes)) != len(primes):
         raise ParameterError(f"primes {list(primes)} are not distinct")
     for q in primes:
@@ -245,6 +265,7 @@ def params_from_json(data: bytes) -> DpfParams:
 
 
 def _validate_loaded_params(params: DpfParams) -> None:
+    _check_sizes(params.primes, params.p)
     m = 1
     for q in params.primes:
         m *= q

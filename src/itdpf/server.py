@@ -186,15 +186,14 @@ class EvalServer:
 
 def run_server(index: int, port: int, params: DpfParams,
                family: MatchingFamily, scheme: InterpolationScheme,
-               db_path: str | None = None, host: str = "127.0.0.1",
-               ready_line: bool = True) -> None:
-    """Blocking entry point used by the CLI `serve` subcommand."""
+               db_path: str | None = None, host: str = "127.0.0.1") -> None:
+    """Blocking entry point used by the CLI `serve` subcommand; prints one
+    JSON `ready` line with the bound port before serving."""
     db = digest = None
     if db_path is not None:
         db, digest = load_database(db_path, params.p)
     server = EvalServer(index, params, family, scheme, db,
                         digest or b"\x00" * 32, host, port)
-    if ready_line:
-        print(json.dumps({"event": "ready", "index": server.index,
-                          "port": server.port}, sort_keys=True), flush=True)
+    print(json.dumps({"event": "ready", "index": server.index,
+                      "port": server.port}, sort_keys=True), flush=True)
     server.serve_forever()

@@ -118,8 +118,7 @@ def test_criterion_5_oracles_and_mutations(params_a, scheme_a, family_a16,
     a00, a01 = scheme_b.coeffs[0]
     bad_scheme = InterpolationScheme(
         scheme_b.points, scheme_b.point_logs,
-        ((a00 + params_b.field.one, a01),) + scheme_b.coeffs[1:],
-        scheme_b.base_coeffs)
+        ((a00 + params_b.field.one, a01),) + scheme_b.coeffs[1:])
     blind = [params_b.H[1]] * 8
     caught_coeff = not reconstruction_identity_check(
         params_b, family_b8, bad_scheme, 1, 1, blind).ok

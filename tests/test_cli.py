@@ -246,6 +246,59 @@ def test_full_rerun_hashes_identical(tmp_path):
     assert run(tmp_path / "one") == run(tmp_path / "two")
 
 
+def _artifact_hashes(workdir, primes, p):
+    """sha256 of params, scheme, the basis family at h=16, a searched
+    family and the basis family's keys at alpha=3, beta=1, seed=41."""
+    paths = _pipeline(workdir, primes=primes, p=p, h="16")
+    paths["searched"] = str(workdir / "searched.json")
+    assert main(["family", "--params", paths["params"], "--h", "4",
+                 "--search", "--out", paths["searched"]]) == 0
+    for i, key in enumerate(_keygen(workdir, paths, alpha=3, beta=1, seed=41)):
+        paths[f"key_{i}"] = key
+    digests = {}
+    for name, path in paths.items():
+        with open(path, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+# Recorded from the commit before the closed-form lift; the artifacts of
+# both fixtures must stay byte-identical across commits.
+PINNED_HASHES = {
+    "7,73": {
+        "params": "eb13becb4e5f3c11a58a13e885d44645f64cc159bf5fcca3890874d5452d9583",
+        "scheme": "7427bf2e11372a4115fadd69083a94d0be9367021aebfc75992125d9a9278e11",
+        "family": "d39df56a0b97a95e792f537a201577d046553cc128884062f7c1f030a68f3b18",
+        "searched": "33cbd540b87fb5201b1eab6dfff3bccb3122fa905ab5cd82e57ea29d094553cb",
+        "key_0": "0a30b362b51bfd814e9016abb96ad326763359e2d36b0cf0f6494184309dca6a",
+        "key_1": "94054f719073607f8e0300bf37e1ebf0f0243aba30eb37c856f612b240c5f4a9",
+        "key_2": "654a4552928c1875be080036a74ecd690b4b34e87d349e1edceb7025ec31c721",
+        "key_3": "de49457e1adcab8bb078ae6d8e8590cc2334797f512d6272fad66e4a6e71331f",
+        "key_4": "935cfebf7ff2130fe6d4f2356c2b2ac8aa8728fb8cb2a6004d233f4e948e4501",
+        "key_5": "c2298d524e1150095164cf3bb7ef2788d6f7e30d8b711e82d67149671b58b1c5",
+    },
+    "2,3": {
+        "params": "4312dec9336ce695bd98b6f2ddd17168e71207dd534b9935512ac143a17537c5",
+        "scheme": "cd8e55cae2696e71c0df0f7a17f9b9474b8baf80c11d0c8d135a192df8f8b06a",
+        "family": "2494b27024940b5e81ec9610452da179f96e8838e819bc79e8d8d3c014538e0a",
+        "searched": "db3cbaa007a7a369c80509c40e77ae6f1317a7de3a21f560a00bf08ef50f52cb",
+        "key_0": "2ba2fc8f146e82c5301bff48a60a525bd197417599ba12716e540cd9fad7c0f1",
+        "key_1": "e74b1606dd6403015c05045118018196ab39caf89b42b975b48fec8c9c135b39",
+        "key_2": "3d738f11db6791929c1eb5ab08633c9feeacc955088cf5c6650075931e6743ac",
+        "key_3": "28b8f5454370ef64b5bb5b78c2b3cea92871c63e08628505ec7b47d21398f292",
+        "key_4": "cf5891dd3c204942ec71b74db8a62649c1cf684b53d17fc04da6c5155fddf297",
+        "key_5": "876fec99c2fd6b9f684a3768a7303450ced5f1e5b01bcf9c9f9c95d25f413e10",
+        "key_6": "b66006cc282a637240d88a37e4ea7de0016085fa9988f0e20903588e80742075",
+        "key_7": "db2b95c8faec19fee85090b9d6c569caebe2e920eb4d88c7c872430500f078fd",
+    },
+}
+
+
+@pytest.mark.parametrize("primes, p", [("7,73", "2"), ("2,3", "5")])
+def test_artifacts_match_pinned_hashes(tmp_path, primes, p):
+    assert _artifact_hashes(tmp_path, primes, p) == PINNED_HASHES[primes]
+
+
 def test_every_command_emits_json_line(binary_pipeline, capsys):
     assert main(["bench", "--params", binary_pipeline["params"],
                  "--scheme", binary_pipeline["scheme"]]) == 0

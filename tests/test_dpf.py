@@ -95,7 +95,7 @@ def test_convert_share_zero_coefficients(params_b, scheme_b, family_b8):
     zero = params_b.field.zero
     muted = InterpolationScheme(
         scheme_b.points, scheme_b.point_logs,
-        ((zero, zero),) + scheme_b.coeffs[1:], scheme_b.base_coeffs)
+        ((zero, zero),) + scheme_b.coeffs[1:])
     blind = [params_b.H[1]] * 8
     share = make_shares(params_b, family_b8, muted, 2, blind)[0]
     conv = convert_share(params_b, family_b8, muted, 0, 5, share)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -65,6 +66,15 @@ def test_irreducible_verified_by_full_factor_scan(p, tau):
     for deg in range(1, tau // 2 + 1):
         for cand in _all_monic(p, deg):
             assert not _poly_divides(cand, zeta, p), (cand, zeta)
+
+
+@pytest.mark.parametrize("p,tau", [(2, 2), (2, 6), (3, 3), (5, 2), (7, 2)])
+def test_irreducible_is_first_in_lexicographic_order(p, tau):
+    # The search skips zero constant terms above degree 1; the result must
+    # still be the first irreducible of the full constant-first order.
+    first = next(low + (1,) for low in itertools.product(range(p), repeat=tau)
+                 if is_irreducible(list(low) + [1], p))
+    assert find_irreducible(p, tau) == first
 
 
 def test_reducibles_rejected():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -7,8 +6,7 @@ from hypothesis import strategies as st
 
 from itdpf.errors import ParameterError
 from itdpf.interpolation import (InterpolationScheme, build_scheme,
-                                 find_interpolation_set, find_mult1_scheme,
-                                 hasse_monomial, lift_to_mult2,
+                                 find_interpolation_set, hasse_monomial,
                                  scheme_from_json, scheme_to_json,
                                  verify_scheme)
 from itdpf.params import build_params
@@ -95,7 +93,8 @@ def test_degenerate_exponent_set_needs_one_point(params_b):
 
 
 def test_mult1_binary_fixture_frozen(params_a):
-    logs, coeffs = find_mult1_scheme(params_a)
+    logs, coeffs = find_interpolation_set(params_a.field, params_a.H,
+                                          params_a.S_m, params_a.n_target)
     assert logs == (0, 5, 276)                       # recorded first hit
     assert [c.enc for c in coeffs] == [252, 151, 106]
     fld = params_a.field
@@ -107,14 +106,16 @@ def test_mult1_binary_fixture_frozen(params_a):
 
 
 def test_mult1_odd_fixture_escalates_to_four(params_b):
-    logs, coeffs = find_mult1_scheme(params_b, n_start=3)
+    logs, coeffs = find_interpolation_set(params_b.field, params_b.H,
+                                          params_b.S_m, 3)
     assert len(logs) == 4                            # no 3-point scheme exists
     assert logs == (0, 1, 2, 3)
     assert [c.enc for c in coeffs] == [7, 7, 21, 21]
 
 
 def test_mult1_search_deterministic(params_b):
-    assert find_mult1_scheme(params_b) == find_mult1_scheme(params_b)
+    args = (params_b.field, params_b.H, params_b.S_m, params_b.n_target)
+    assert find_interpolation_set(*args) == find_interpolation_set(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +143,6 @@ def test_lift_zero_row_isolates_order_zero(params_a, params_b, scheme_a, scheme_
         assert total == params.field.one
 
 
-def test_lift_degenerate_exponent_set(params_b):
-    degenerate = dataclasses.replace(params_b, S_M=(0,))
-    coeffs = lift_to_mult2(degenerate, (0,))
-    assert coeffs == ((params_b.field.one, params_b.field.zero),)
-
-
 def test_lift_succeeds_across_parameter_sweep():
     # The lift of a certified multiplicity-1 set is always solvable; any
     # inconsistency fails the build.
@@ -156,6 +151,11 @@ def test_lift_succeeds_across_parameter_sweep():
         params = build_params(primes, p)
         scheme = build_scheme(params)                # raises on lift failure
         assert verify_scheme(params, scheme).ok, (primes, p)
+        logs, c = find_interpolation_set(params.field, params.H, params.S_m,
+                                         params.n_target)
+        assert scheme.point_logs == logs
+        assert scheme.coeffs == tuple(
+            (c_l, -(c_l * params.H[d])) for c_l, d in zip(c, logs))
 
 
 def test_prime_m_smoke():
@@ -193,8 +193,7 @@ def test_verify_scheme_catches_perturbation(params_a, scheme_a):
     a00, a01 = scheme_a.coeffs[0]
     corrupted = InterpolationScheme(
         scheme_a.points, scheme_a.point_logs,
-        ((a00 + params_a.field.one, a01),) + scheme_a.coeffs[1:],
-        scheme_a.base_coeffs)
+        ((a00 + params_a.field.one, a01),) + scheme_a.coeffs[1:])
     cert = verify_scheme(params_a, corrupted, random_polynomials=0)
     assert not cert.ok
     assert 0 in cert.failed_exponents
@@ -248,5 +247,20 @@ def test_scheme_json_rejects_points_outside_subgroup(params_b, scheme_b):
     import json
     obj = json.loads(scheme_to_json(scheme_b))
     obj["B_logs"][0] = 5  # wrong discrete log for the stored element
+    with pytest.raises(ParameterError):
+        scheme_from_json(params_b, (json.dumps(obj) + "\n").encode())
+
+
+@pytest.mark.parametrize("path", [("mult1", 0), ("mult1", 3),
+                                  ("A", 1, 1), ("A", 3, 1)])
+def test_scheme_json_rejects_lift_not_in_closed_form(params_b, scheme_b, path):
+    # mult1 must repeat A[:, 0], and A[l][1] must be -A[l][0] * B[l].
+    import json
+    obj = json.loads(scheme_to_json(scheme_b))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    entry = params_b.field.parse_element(parent[path[-1]])
+    parent[path[-1]] = (entry + params_b.field.one).as_string()
     with pytest.raises(ParameterError):
         scheme_from_json(params_b, (json.dumps(obj) + "\n").encode())

@@ -4,31 +4,43 @@ deserialize_key is fed arbitrary bytes, and the four JSON loaders are fed
 arbitrary JSON values and fixture artifacts with one key dropped or one
 value swapped for a value of another JSON type.  Every call either
 returns or raises ParameterError, KeyParseError or ArtifactMismatchError.
+protocol.recv_message is fed arbitrary frames, and the server's request
+handler arbitrary types and payloads, byte-flipped keys among them; no
+request is answered ERR_INTERNAL.
 Generated numbers stay within [-4, 4], so no input can build a field
 above TABLE_LIMIT; the loaders are run under a guard that checks this.
 The CLI maps the same inputs to exit 2, and an unreachable server to
-exit 1 with "query failed", without a traceback.
+exit 1 with "query failed", without a traceback.  Parameters beyond the
+size bounds exit 2 before anything is enumerated; those cases run in a
+memory-capped subprocess with a timeout, because most used to hang.
 """
 
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itdpf
+from itdpf import protocol
 from itdpf.cli import main
 from itdpf.dpf import (PointFunction, deserialize_key, key_from_json,
                        key_to_json, keygen, serialize_key)
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
-from itdpf.field import TABLE_LIMIT, Field
+from itdpf.field import TABLE_LIMIT, Field, find_irreducible, is_irreducible
 from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
 from itdpf.matching import family_from_json, family_to_json, trivial_family
-from itdpf.params import (build_params, digest_bytes, params_from_json,
-                          params_to_json)
+from itdpf.params import (build_params, canonical_set, digest_bytes,
+                          params_from_json, params_to_json)
+from itdpf.server import EvalServer
 
 TYPED = (ParameterError, KeyParseError, ArtifactMismatchError)
 
@@ -149,6 +161,65 @@ def test_loaders_mutated_artifacts(case):
 
 
 # ---------------------------------------------------------------------------
+# Wire frames and server requests.
+# ---------------------------------------------------------------------------
+
+frames = st.binary(max_size=64) | st.builds(
+    lambda magic, version, msg_type, length, body: (
+        magic + bytes([version, msg_type]) + length.to_bytes(4, "big") + body),
+    st.just(protocol.MAGIC) | st.binary(min_size=4, max_size=4),
+    st.just(protocol.VERSION) | st.integers(0, 255), st.integers(0, 255),
+    st.integers(0, 80) | st.integers(0, 2 ** 32 - 1), st.binary(max_size=64))
+
+
+@settings(max_examples=500)
+@given(frames)
+def test_recv_message_arbitrary_bytes(data):
+    """A frame either parses to exactly what was sent or raises WireError
+    or ConnectionError; the sender closes after writing."""
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        sender.sendall(data)
+        sender.shutdown(socket.SHUT_WR)
+        try:
+            msg = protocol.recv_message(receiver)
+        except (protocol.WireError, ConnectionError):
+            return
+    length = int.from_bytes(data[6:10], "big")
+    assert data[:5] == protocol.MAGIC + bytes([protocol.VERSION])
+    assert (msg.type, msg.payload) == (data[5], data[10:10 + length])
+    assert len(msg.payload) == length
+
+
+OWN_KEY = serialize_key(PARAMS, KEYS[SCHEME.n + 1])
+payloads = (st.binary(max_size=64)
+            | st.sampled_from([serialize_key(PARAMS, k) for k in KEYS])
+            | st.integers(0, len(OWN_KEY) - 1).map(
+                lambda i: OWN_KEY[:i] + bytes([OWN_KEY[i] ^ 0xFF])
+                + OWN_KEY[i + 1:])
+            | st.integers(0, 2 ** 32 - 1).map(lambda x: x.to_bytes(4, "big")))
+
+
+@pytest.fixture(scope="module")
+def handler():
+    server = EvalServer(SCHEME.n + 1, PARAMS, FAMILY, SCHEME, db=[1, 4])
+    yield server
+    server.shutdown()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.builds(protocol.Message, st.integers(0, 255), payloads),
+                min_size=1, max_size=4))
+def test_handler_never_answers_internal(handler, messages):
+    """Any request, with or without a valid key stored, gets a reply
+    whose error code, if any, is a specific one."""
+    for msg in messages:
+        reply = handler._handle(msg)
+        if reply[5] == protocol.ERROR:
+            assert reply[10] != protocol.ERR_INTERNAL, reply
+
+
+# ---------------------------------------------------------------------------
 # CLI exit codes.
 # ---------------------------------------------------------------------------
 
@@ -220,3 +291,86 @@ def test_cli_query_closed_port_fails_cleanly(artifact_dir, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("query failed:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Size bounds.
+# ---------------------------------------------------------------------------
+
+# Each case exits in about 0.2 s; the timeout leaves room for a loaded
+# host.  Before the bounds, all but the empty prime list ran for seconds
+# to hours, and the large subgroup would have filled memory, hence the cap.
+BOUND_TIMEOUT_S = 5
+CAPPED_CLI = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from itdpf.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _write_params(path, **fields):
+    path.write_text(json.dumps({"e": 2, "n_target": 2, **fields}))
+    return str(path)
+
+
+def _huge_field_params(tmp_path):
+    """A well-formed params file over F_{65521^16}: m = 3 divides p - 1,
+    so gamma and H lie in the prime subfield."""
+    p, tau = 65521, 16
+    zeta = next([c, 1] + [0] * (tau - 2) + [1] for c in range(1, p)
+                if is_irreducible([c, 1] + [0] * (tau - 2) + [1], p))
+    g = next(g for g in range(2, p) if pow(g, 3, p) == 1)
+
+    def const(c):
+        return ",".join([str(c)] + ["0"] * (tau - 1))
+    return _write_params(
+        tmp_path / "huge_field.json", primes=[3], m=3, p=p, M=3 * p, tau=tau,
+        zeta=zeta, gamma=const(g), H=[const(pow(g, k, p)) for k in range(3)],
+        S_m=[0, 1], S_M=canonical_set(3 * p, [3, p]))
+
+
+def _huge_subgroup_params(tmp_path):
+    """F_{2^24} with m = (2^24 - 1)/3 = 5592405: loading used to build H."""
+    primes = [3, 5, 7, 13, 17, 241]
+    m = 5592405
+    zeta = find_irreducible(2, 24)
+    gamma = Field(2, 24, zeta).root_of_unity(m).as_string()
+    return _write_params(
+        tmp_path / "huge_subgroup.json", primes=primes, m=m, p=2, M=2 * m,
+        tau=24, zeta=list(zeta), gamma=gamma, H=[gamma], S_m=[0], S_M=[0])
+
+
+def _list_among_primes(tmp_path):
+    """The odd fixture's params with a list among the primes: the product
+    of the primes used to become a list of 2^40 entries."""
+    return _write_params(tmp_path / "list_prime.json",
+                         **{**json.loads(ARTIFACTS["params"]),
+                            "primes": [2 ** 40, [0]]})
+
+
+BOUND_CASES = {
+    "order_2_to_32": ["params", "--primes", "3", "--p", "2", "--tau", "32"],
+    "prime_m_near_2_to_61": ["params", "--primes", "2305843009213693951",
+                             "--p", "2"],
+    "p_above_2_to_16": ["params", "--primes", "7", "--p", "100000000000031"],
+    "prime_p_near_2_to_61": ["params", "--primes", "7",
+                             "--p", "2305843009213693951"],
+    "m_of_six_primes": ["params", "--primes", "3,5,7,13,17,241", "--p", "2"],
+    "no_prime": ["params", "--primes", ",", "--p", "2"],
+    "loaded_order_65521_to_16": _huge_field_params,
+    "loaded_m_5592405": _huge_subgroup_params,
+    "loaded_list_among_primes": _list_among_primes,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_cli_size_bounds_exit_2(tmp_path, case):
+    argv = BOUND_CASES[case]
+    if callable(argv):
+        argv = ["scheme", "--params", argv(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(itdpf.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv, "--out",
+         str(tmp_path / "out.json")],
+        capture_output=True, text=True, timeout=BOUND_TIMEOUT_S, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parameter error:")
+    assert "Traceback" not in proc.stderr

@@ -148,8 +148,7 @@ def test_reconstruction_detects_corrupted_recovery_coefficient(
     a10, a11 = scheme_b.coeffs[1]
     corrupted = InterpolationScheme(
         scheme_b.points, scheme_b.point_logs,
-        (scheme_b.coeffs[0], (a10, a11 + one)) + scheme_b.coeffs[2:],
-        scheme_b.base_coeffs)
+        (scheme_b.coeffs[0], (a10, a11 + one)) + scheme_b.coeffs[2:])
     rng = random.Random(3)
     detected = 0
     for alpha, x in [(1, 1), (2, 5), (4, 4), (7, 3)]:
