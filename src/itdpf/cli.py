@@ -90,7 +90,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_params(args) -> int:
     primes = _parse_int_list(args.primes)
-    params = params_mod.build_params(primes, args.p, args.tau or 1)
+    params = params_mod.build_params(primes, args.p, args.tau)
     data = params_mod.params_to_json(params)
     _write(args.out, data)
     print(f"m={params.m} M={params.M} tau={params.tau} "
@@ -337,7 +337,8 @@ def cmd_query(args) -> int:
     addresses = []
     for part in args.servers.split(","):
         host, _, port = part.strip().rpartition(":")
-        if not host or not port.isdigit():
+        # getaddrinfo would silently take a port above 65535 mod 2^16.
+        if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
             raise ParameterError(f"bad server address {part!r}")
         addresses.append((host, int(port)))
     try:
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True,
                    help="comma-separated distinct primes whose product is m")
     p.add_argument("--p", type=int, required=True, help="output characteristic")
-    p.add_argument("--tau", type=int, default=None,
+    p.add_argument("--tau", type=int, default=1,
                    help="minimum extension degree (default: minimal valid)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_params)

@@ -1,10 +1,11 @@
 """Exact arithmetic in small extension fields F_{p^tau}.
 
-Elements are tau-coefficient polynomials over Z_p reduced modulo a monic
-irreducible zeta(X), stored constant term first.  For small fields
-(order <= 2**20) the constructor builds discrete-log tables over a fixed
-smallest generator, giving O(1) multiplication, inversion and powering;
-all elements are then interned so arithmetic allocates nothing.
+Elements are tau-coefficient polynomials over Z_p reduced modulo the
+smallest monic irreducible zeta(X), stored constant term first.  For
+small fields (order <= 2**20) the constructor builds discrete-log tables
+over a fixed smallest generator, giving O(1) multiplication, inversion
+and powering; all elements are then interned so arithmetic allocates
+nothing.
 
 The additive output map used by the point-function scheme is
 ``constant_term``: it projects a field element onto its constant
@@ -55,7 +56,7 @@ def factorize(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Polynomial helpers over Z_p (dense coefficient lists, constant term first).
-# Used for zeta discovery/validation and as the table-free fallback.
+# Used for zeta discovery and as the table-free fallback.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -224,11 +225,12 @@ class FieldElement:
 class Field:
     """F_{p^tau} = Z_p[X]/(zeta(X)) with reproducible canonical choices.
 
-    zeta defaults to the lexicographically smallest monic irreducible
-    (see :func:`find_irreducible`); pass an explicit one to override.
+    zeta is always the lexicographically smallest monic irreducible of
+    degree tau (see :func:`find_irreducible`), so (p, tau) alone fixes
+    the field and the encoding of every element.
     """
 
-    def __init__(self, p: int, tau: int, zeta: tuple[int, ...] | None = None):
+    def __init__(self, p: int, tau: int):
         # The bounds first: trial division of a huge p or a search over a
         # huge field would run for ages.  p >= 2 makes p**32 >= MAX_ORDER.
         if p > MAX_P:
@@ -239,17 +241,10 @@ class Field:
             raise ParameterError(f"p={p} is not prime")
         self.p = p
         self.tau = tau
-        if zeta is None:
-            zeta = find_irreducible(p, tau)
-        zeta = tuple(int(c) % p for c in zeta[:-1]) + (zeta[-1],)
-        if len(zeta) != tau + 1 or zeta[-1] != 1:
-            raise ParameterError("zeta must be monic of degree tau")
-        if not is_irreducible(list(zeta), p):
-            raise ParameterError(f"zeta={list(zeta)} is reducible over Z_{p}")
-        self.zeta = zeta
+        self.zeta = find_irreducible(p, tau)
         self.order = p ** tau
         self.group_order = self.order - 1
-        self.signature = (p, tau, zeta)
+        self.signature = (p, tau, self.zeta)
 
         self._elems: list[FieldElement] | None = None
         self._exp: list[int] | None = None

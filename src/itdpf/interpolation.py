@@ -31,7 +31,7 @@ from .errors import LiftInconsistentError, ParameterError
 from .field import Field, FieldElement
 from .linalg import solve_linear_system
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
-                     parse_artifact)
+                     parse_artifact, require_rebuilt)
 
 
 def hasse_monomial(params: DpfParams, s: int, k: int, b: FieldElement) -> FieldElement:
@@ -94,16 +94,22 @@ def find_interpolation_set(
     raise AssertionError("unreachable: the full subgroup interpolates")
 
 
+def _lifted_scheme(params: DpfParams, point_logs, c) -> InterpolationScheme:
+    """The scheme on the points H[d] for d in point_logs whose
+    multiplicity-1 coefficients are c, lifted in closed form."""
+    points = tuple(params.H[d] for d in point_logs)
+    return InterpolationScheme(
+        points=points,
+        point_logs=tuple(point_logs),
+        coeffs=tuple((c_l, -(c_l * b))
+                     for c_l, b in zip(c, points, strict=True)),
+    )
+
+
 def build_scheme(params: DpfParams) -> InterpolationScheme:
     """Multiplicity-1 search from n_target, closed-form lift, certificate."""
-    point_logs, c = find_interpolation_set(params.field, params.H, params.S_m,
-                                           params.n_target)
-    points = tuple(params.H[d] for d in point_logs)
-    scheme = InterpolationScheme(
-        points=points,
-        point_logs=point_logs,
-        coeffs=tuple((c_l, -(c_l * b)) for c_l, b in zip(c, points)),
-    )
+    scheme = _lifted_scheme(params, *find_interpolation_set(
+        params.field, params.H, params.S_m, params.n_target))
     cert = verify_scheme(params, scheme)
     if not cert.ok:
         raise LiftInconsistentError(
@@ -200,22 +206,17 @@ def scheme_to_json(scheme: InterpolationScheme) -> bytes:
 
 
 def scheme_from_json(params: DpfParams, data: bytes) -> InterpolationScheme:
+    """Rebuild the scheme from the file's B_logs and mult1; every other
+    field must be what scheme_to_json writes for it.  Whether mult1
+    interpolates is the certificate's question (verify_scheme)."""
     obj = parse_artifact(data, "scheme")
-    fld = params.field
     with artifact_fields("scheme"):
-        points = tuple(fld.parse_element(s) for s in obj["B"])
-        point_logs = tuple(int(d) for d in obj["B_logs"])
-        coeffs = tuple(
-            (fld.parse_element(r[0]), fld.parse_element(r[1])) for r in obj["A"])
-        mult1 = tuple(fld.parse_element(s) for s in obj["mult1"])
-        n = int(obj["n"])
-    if not (len(points) == len(point_logs) == len(coeffs) == n):
-        raise ParameterError("scheme file is internally inconsistent")
-    for b, d in zip(points, point_logs):
-        if not 0 <= d < params.m or params.H[d] != b:
-            raise ParameterError("scheme points do not match the subgroup")
-    if mult1 != tuple(a0 for a0, _ in coeffs):
-        raise ParameterError("scheme mult1 does not repeat the first column of A")
-    if any(a1 != -(a0 * b) for (a0, a1), b in zip(coeffs, points)):
-        raise ParameterError("scheme A[l][1] is not -A[l][0] * B[l]")
-    return InterpolationScheme(points, point_logs, coeffs)
+        point_logs = obj["B_logs"]
+        # A negative log would index H from the end.
+        if any(not 0 <= d < params.m for d in point_logs):
+            raise ParameterError("scheme point logs outside [0, m)")
+        scheme = _lifted_scheme(
+            params, point_logs,
+            [params.field.parse_element(a) for a in obj["mult1"]])
+    require_rebuilt(obj, scheme_to_json(scheme), "scheme")
+    return scheme

@@ -16,6 +16,15 @@ from .errors import ParameterError
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
                      parse_artifact)
 
+# Bound on h and N: certification is cubic, 8 s at h = N = 512.
+MAX_H = 1024
+
+
+def _check_bound(name: str, value: int) -> None:
+    if type(value) is not int or not 1 <= value <= MAX_H:
+        raise ParameterError(
+            f"{name}={value!r} is not an integer in [1, {MAX_H}]")
+
 
 @dataclass(frozen=True)
 class MatchingFamily:
@@ -57,8 +66,7 @@ def trivial_family(modulus: int, h: int) -> MatchingFamily:
     at position j, so u_i . v_i = 0 and u_i . v_j = 1 for i != j; it is
     valid for every canonical set since 1 reduces to 1 mod every prime.
     """
-    if h < 1:
-        raise ParameterError(f"h={h} must be >= 1")
+    _check_bound("h", h)
     U = tuple(tuple(1 if j == i else 0 for j in range(h)) for i in range(h))
     V = tuple(tuple(0 if j == i else 1 for j in range(h)) for i in range(h))
     return MatchingFamily(modulus, h, U, V, certified=True)
@@ -73,6 +81,7 @@ def search_family(params: DpfParams, h: int, n_goal: int, seed: int,
     stops at n_goal or when the sampling budget runs out.  An undersized
     result is still a valid certified family.
     """
+    _check_bound("h", h)
     if n_goal < 1 or budget < 1:
         raise ParameterError("n_goal and budget must be positive")
     modulus = params.M
@@ -158,6 +167,8 @@ def family_to_json(family: MatchingFamily) -> bytes:
 def family_from_json(data: bytes) -> MatchingFamily:
     obj = parse_artifact(data, "family")
     with artifact_fields("family"):
+        _check_bound("h", obj["h"])
+        _check_bound("N", obj["N"])
         U = tuple(tuple(int(x) for x in row) for row in obj["U"])
         V = tuple(tuple(int(x) for x in row) for row in obj["V"])
         fam = MatchingFamily(obj["M"], obj["h"], U, V, bool(obj["certified"]))

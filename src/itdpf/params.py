@@ -1,4 +1,4 @@
-"""Synthesis and validation of a compatible parameter tuple.
+"""Synthesis of a compatible parameter tuple.
 
 A parameter set fixes: a squarefree modulus m = p_1 ... p_r, an output
 characteristic p coprime to m, the combined modulus M = m*p, the
@@ -7,6 +7,11 @@ with its canonical root of unity, and the canonical residue sets of m
 and M.  Everything downstream (matching families, interpolation
 schemes, key generation) consumes this single object, and its JSON
 serialization is byte-reproducible.
+
+The tuple is a function of (primes, p, tau) alone, so build_params is
+its only derivation: params_from_json rebuilds it from those three
+fields and accepts the file only when it is exactly what
+params_to_json writes for the result.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .field import MAX_P, Field, FieldElement, is_prime
@@ -75,32 +80,10 @@ class DpfParams:
     M: int
     tau: int
     field: Field
-    gamma: FieldElement
-    H: tuple[FieldElement, ...]     # order-m subgroup in discrete-log order
+    H: tuple[FieldElement, ...]     # powers of the canonical root H[1]
     S_m: tuple[int, ...]
     S_M: tuple[int, ...]
-    e: int = MULTIPLICITY
-    n_target: int = dc_field(default=0)
-
-    @property
-    def r(self) -> int:
-        return len(self.primes)
-
-
-def _check_sizes(primes, p: int) -> None:
-    """Bound p and M = p * prod(primes) before anything is enumerated
-    or tested for primality by trial division."""
-    if not primes:
-        raise ParameterError("m needs at least one prime factor")
-    # A list among the primes would turn the product into a huge list.
-    if any(type(q) is not int for q in (p, *primes)):
-        raise ParameterError("p and the prime factors must be integers")
-    if p > MAX_P:
-        raise ParameterError(f"p={p} exceeds supported bound {MAX_P}")
-    M = p * math.prod(primes)
-    if not 0 < M <= MAX_MODULUS:
-        raise ParameterError(
-            f"M = m*p = {M} outside the supported range [1, {MAX_MODULUS}]")
+    n_target: int
 
 
 def _multiplicative_order(p: int, m: int) -> int:
@@ -122,7 +105,19 @@ def build_params(primes, p: int, tau_hint: int = 1) -> DpfParams:
     minimal valid extension degree honoring the hint.
     """
     primes = tuple(sorted(int(q) for q in primes))
-    _check_sizes(primes, p)
+    # Bound p and M before anything is enumerated or tested for
+    # primality by trial division.
+    if not primes:
+        raise ParameterError("m needs at least one prime factor")
+    if type(p) is not int:
+        raise ParameterError(f"p={p!r} is not an integer")
+    if p > MAX_P:
+        raise ParameterError(f"p={p} exceeds supported bound {MAX_P}")
+    m = math.prod(primes)
+    M = m * p
+    if not 0 < M <= MAX_MODULUS:
+        raise ParameterError(
+            f"M = m*p = {M} outside the supported range [1, {MAX_MODULUS}]")
     if len(set(primes)) != len(primes):
         raise ParameterError(f"primes {list(primes)} are not distinct")
     for q in primes:
@@ -135,17 +130,11 @@ def build_params(primes, p: int, tau_hint: int = 1) -> DpfParams:
     if tau_hint < 1:
         raise ParameterError(f"tau_hint={tau_hint} must be >= 1")
 
-    m = 1
-    for q in primes:
-        m *= q
-    M = m * p
-
     d = _multiplicative_order(p, m)
     tau = d * ((tau_hint + d - 1) // d)
 
     fld = Field(p, tau)
-    gamma = fld.root_of_unity(m)
-    H = tuple(fld.subgroup(gamma, m))
+    H = tuple(fld.subgroup(fld.root_of_unity(m), m))
     S_m = tuple(canonical_set(m, primes))
     S_M = tuple(canonical_set(M, primes + (p,)))
     # CRT counting: two admissible residues per prime factor.
@@ -156,9 +145,8 @@ def build_params(primes, p: int, tau_hint: int = 1) -> DpfParams:
     assert p >= MULTIPLICITY
 
     return DpfParams(
-        primes=primes, m=m, p=p, M=M, tau=tau, field=fld, gamma=gamma,
-        H=H, S_m=S_m, S_M=S_M, e=MULTIPLICITY,
-        n_target=sparsity_target(len(primes)),
+        primes=primes, m=m, p=p, M=M, tau=tau, field=fld, H=H, S_m=S_m,
+        S_M=S_M, n_target=sparsity_target(len(primes)),
     )
 
 
@@ -188,7 +176,7 @@ def check_lift_condition(params: DpfParams) -> LiftConditionReport:
     witnesses = []
     for s in params.S_M:
         a, b = s % params.m, s % params.p
-        witnesses.append(LiftWitness(s, a, b, a in s_m and b < params.e))
+        witnesses.append(LiftWitness(s, a, b, a in s_m and b < MULTIPLICITY))
     return LiftConditionReport(all(w.ok for w in witnesses), tuple(witnesses))
 
 
@@ -217,6 +205,22 @@ def parse_artifact(data: bytes, what: str) -> dict:
     return obj
 
 
+def require_rebuilt(obj: dict, rebuilt: bytes, what: str) -> None:
+    """Accept an artifact only if it is exactly `rebuilt`, the bytes its
+    constructor writes for the inputs read from it.  Otherwise the
+    ParameterError names the first differing or unknown field."""
+    if canonical_json_bytes(obj) == rebuilt:
+        return
+    expected = json.loads(rebuilt)
+    for name in sorted(obj.keys() | expected.keys()):
+        if name not in expected:
+            raise ParameterError(f"{what} file has an unknown field {name!r}")
+        if name not in obj or (canonical_json_bytes(obj[name])
+                               != canonical_json_bytes(expected[name])):
+            raise ParameterError(
+                f"{what} file field {name!r} differs from its rebuilt value")
+
+
 @contextmanager
 def artifact_fields(what: str):
     """Read an artifact's fields: a missing key or a value of the wrong
@@ -238,48 +242,21 @@ def params_to_json(params: DpfParams) -> bytes:
         "M": params.M,
         "tau": params.tau,
         "zeta": list(params.field.zeta),
-        "gamma": params.gamma.as_string(),
+        "gamma": params.H[1].as_string(),
         "H": [b.as_string() for b in params.H],
         "S_m": list(params.S_m),
         "S_M": list(params.S_M),
-        "e": params.e,
+        "e": MULTIPLICITY,
         "n_target": params.n_target,
     }
     return canonical_json_bytes(obj)
 
 
 def params_from_json(data: bytes) -> DpfParams:
+    """Rebuild the params from the file's primes, p and tau; every other
+    field must be what params_to_json writes for the rebuilt tuple."""
     obj = parse_artifact(data, "params")
     with artifact_fields("params"):
-        fld = Field(obj["p"], obj["tau"], tuple(obj["zeta"]))
-        gamma = fld.parse_element(obj["gamma"])
-        H = tuple(fld.parse_element(s) for s in obj["H"])
-        params = DpfParams(
-            primes=tuple(obj["primes"]), m=obj["m"], p=obj["p"], M=obj["M"],
-            tau=obj["tau"], field=fld, gamma=gamma, H=H,
-            S_m=tuple(obj["S_m"]), S_M=tuple(obj["S_M"]),
-            e=obj["e"], n_target=obj["n_target"],
-        )
-        _validate_loaded_params(params)
+        params = build_params(obj["primes"], obj["p"], obj["tau"])
+    require_rebuilt(obj, params_to_json(params), "params")
     return params
-
-
-def _validate_loaded_params(params: DpfParams) -> None:
-    _check_sizes(params.primes, params.p)
-    m = 1
-    for q in params.primes:
-        m *= q
-    if m != params.m or params.m * params.p != params.M:
-        raise ParameterError("params file moduli are inconsistent")
-    if params.field.group_order % params.m != 0:
-        raise ParameterError("m does not divide the field group order")
-    if params.field.element_order(params.gamma) != params.m:
-        raise ParameterError("gamma does not have order m")
-    if list(params.H) != params.field.subgroup(params.gamma, params.m):
-        raise ParameterError("H is not the subgroup generated by gamma")
-    if list(params.S_m) != canonical_set(params.m, params.primes):
-        raise ParameterError("S_m is not the canonical set of m")
-    if list(params.S_M) != canonical_set(params.M, params.primes + (params.p,)):
-        raise ParameterError("S_M is not the canonical set of M")
-    if params.e != MULTIPLICITY:
-        raise ParameterError(f"unsupported multiplicity e={params.e}")

@@ -40,10 +40,14 @@ IDLE_TIMEOUT_S = 5.0
 def load_database(path: str, p: int) -> tuple[list[int], bytes]:
     """Newline-delimited decimal residues mod p; digest is the sha256 of
     the raw file bytes so divergent replicas are detectable."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        lines = raw.decode().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read db {path}: {exc}") from exc
     entries = []
-    for line_no, line in enumerate(raw.decode().splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -78,7 +82,14 @@ class EvalServer:
         self.db_digest = db_digest
         self._key: DpfKey | None = None
         self._key_lock = threading.Lock()
-        self._sock = socket.create_server((host, port))
+        # Checked here: create_server leaks its socket on OverflowError.
+        if not 0 <= port <= 65535:
+            raise ParameterError(f"port {port} outside [0, 65535]")
+        try:
+            self._sock = socket.create_server((host, port))
+        except OSError as exc:    # address in use, unknown or not local
+            raise ParameterError(
+                f"cannot listen on {host}:{port}: {exc}") from exc
         # Set once here: shutdown() may close the socket before the
         # accept loop starts, and a closed socket just ends that loop.
         self._sock.settimeout(0.2)

@@ -62,6 +62,12 @@ def test_params_rejects_p_dividing_m(tmp_path):
                  "--out", str(tmp_path / "p.json")]) == 2
 
 
+@pytest.mark.parametrize("tau", ["0", "-1"])
+def test_params_rejects_tau_below_one(tmp_path, tau):
+    assert main(["params", "--primes", "2,3", "--p", "5", "--tau", tau,
+                 "--out", str(tmp_path / "p.json")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # scheme
 # ---------------------------------------------------------------------------

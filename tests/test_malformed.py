@@ -4,13 +4,17 @@ deserialize_key is fed arbitrary bytes, and the four JSON loaders are fed
 arbitrary JSON values and fixture artifacts with one key dropped or one
 value swapped for a value of another JSON type.  Every call either
 returns or raises ParameterError, KeyParseError or ArtifactMismatchError.
+params.json and scheme.json are also fed with one int swapped for another
+int or one element string for another valid one; what loads must write
+back the original bytes.
 protocol.recv_message is fed arbitrary frames, and the server's request
 handler arbitrary types and payloads, byte-flipped keys among them; no
 request is answered ERR_INTERNAL.
 Generated numbers stay within [-4, 4], so no input can build a field
 above TABLE_LIMIT; the loaders are run under a guard that checks this.
 The CLI maps the same inputs to exit 2, and an unreachable server to
-exit 1 with "query failed", without a traceback.  Parameters beyond the
+exit 1 with "query failed", without a traceback; `serve` and `query`
+map a bad address or db file to exit 2.  Parameters beyond the
 size bounds exit 2 before anything is enumerated; those cases run in a
 memory-capped subprocess with a timeout, because most used to hang.
 """
@@ -37,7 +41,8 @@ from itdpf.dpf import (PointFunction, deserialize_key, key_from_json,
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
 from itdpf.field import TABLE_LIMIT, Field, find_irreducible, is_irreducible
 from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
-from itdpf.matching import family_from_json, family_to_json, trivial_family
+from itdpf.matching import (MAX_H, family_from_json, family_to_json,
+                            trivial_family)
 from itdpf.params import (build_params, canonical_set, digest_bytes,
                           params_from_json, params_to_json)
 from itdpf.server import EvalServer
@@ -160,6 +165,56 @@ def test_loaders_mutated_artifacts(case):
     _load(*case)
 
 
+WRITERS = {"params": params_to_json, "scheme": scheme_to_json}
+
+
+def _leaf_paths(value, path=()):
+    """Paths to the int and string leaves of an artifact."""
+    if isinstance(value, dict):
+        for name, child in value.items():
+            yield from _leaf_paths(child, path + (name,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _leaf_paths(child, path + (i,))
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        yield path
+
+
+element_strings = st.lists(st.integers(0, PARAMS.p - 1), min_size=PARAMS.tau,
+                           max_size=PARAMS.tau).map(
+                               lambda c: ",".join(map(str, c)))
+
+
+@st.composite
+def substituted_artifacts(draw):
+    """(loader name, bytes): params.json or scheme.json with one int
+    swapped for another int, or one element string for another valid
+    element string."""
+    name = draw(st.sampled_from(sorted(WRITERS)))
+    obj = json.loads(ARTIFACTS[name])
+    path = draw(st.sampled_from(list(_leaf_paths(obj))))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    old = parent[path[-1]]
+    values = element_strings if isinstance(old, str) else st.integers(-4, 4)
+    parent[path[-1]] = draw(values.filter(lambda v: v != old))
+    return name, json.dumps(obj).encode()
+
+
+@given(substituted_artifacts())
+def test_loaders_same_type_substitution(case):
+    """A well-typed edit is either refused or has no effect: what loads
+    writes back the original bytes."""
+    name, data = case
+    with field_guard():
+        try:
+            loaded = LOADERS[name](data)
+        except TYPED:
+            return
+    assert WRITERS[name](loaded) == ARTIFACTS[name]
+
+
 # ---------------------------------------------------------------------------
 # Wire frames and server requests.
 # ---------------------------------------------------------------------------
@@ -225,10 +280,18 @@ def test_handler_never_answers_internal(handler, messages):
 
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("malformed")
+    return _write_artifacts(tmp_path_factory.mktemp("malformed"))
+
+
+def _write_artifacts(root):
     for name, data in ARTIFACTS.items():
         (root / f"{name}.json").write_bytes(data)
     return root
+
+
+def _artifact_args(root, names=("params", "scheme", "family")):
+    return [arg for name in names
+            for arg in (f"--{name}", str(root / f"{name}.json"))]
 
 
 def _with(name, **fields):
@@ -277,6 +340,53 @@ def test_cli_malformed_artifact_exits_2(artifact_dir, tmp_path, capsys,
     assert rc == 2
     assert err.startswith("parameter error:")
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def listening_port():
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]
+
+
+def _db(tmp_path, data):
+    path = tmp_path / "db.txt"
+    path.write_bytes(data)
+    return str(path)
+
+
+# 192.0.2.1 (TEST-NET-1) is no local address, so binding to it fails
+# without a packet being sent.  An unresolvable host name would take
+# the same path (socket.gaierror is an OSError) but needs a DNS query.
+SERVE_CASES = {
+    "port_above_65535": lambda tmp_path, port: ["--port", "70000"],
+    "host_not_local": lambda tmp_path, port: ["--host", "192.0.2.1"],
+    "port_in_use": lambda tmp_path, port: ["--port", str(port)],
+    "db_missing": lambda tmp_path, port: ["--db", str(tmp_path / "no.db")],
+    "db_not_utf8": lambda tmp_path, port: ["--db", _db(tmp_path, b"\xff\xfe")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_CASES))
+def test_cli_serve_address_or_db_error_exits_2(artifact_dir, tmp_path, capsys,
+                                               listening_port, case):
+    """Each case fails before serve_forever, so no thread is started."""
+    rc = main(["serve", "--index", "0", *_artifact_args(artifact_dir),
+               *SERVE_CASES[case](tmp_path, listening_port)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("parameter error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("port", ["0", "65536", "70000"])
+def test_cli_query_port_out_of_range_exits_2(artifact_dir, capsys, port):
+    """getaddrinfo would take a port above 65535 modulo 2^16."""
+    servers = ",".join([f"127.0.0.1:{port}"] * (2 * SCHEME.n))
+    rc = main(["query", "--servers", servers, "--alpha", "1", "--beta", "1",
+               "--x", "1", *_artifact_args(artifact_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("parameter error:") and err.count("\n") == 1
 
 
 def test_cli_query_closed_port_fails_cleanly(artifact_dir, capsys):
@@ -332,7 +442,7 @@ def _huge_subgroup_params(tmp_path):
     primes = [3, 5, 7, 13, 17, 241]
     m = 5592405
     zeta = find_irreducible(2, 24)
-    gamma = Field(2, 24, zeta).root_of_unity(m).as_string()
+    gamma = Field(2, 24).root_of_unity(m).as_string()
     return _write_params(
         tmp_path / "huge_subgroup.json", primes=primes, m=m, p=2, M=2 * m,
         tau=24, zeta=list(zeta), gamma=gamma, H=[gamma], S_m=[0], S_M=[0])
@@ -346,6 +456,31 @@ def _list_among_primes(tmp_path):
                             "primes": [2 ** 40, [0]]})
 
 
+def _scheme_on(make_params):
+    """`itdpf scheme` on the params file that make_params writes."""
+    return lambda tmp_path: ["scheme", "--params", make_params(tmp_path),
+                             "--out", str(tmp_path / "out.json")]
+
+
+def _family_with_h(h, *flags):
+    """`itdpf family --h h` on the fixture's params."""
+    return lambda tmp_path: [
+        "family", *_artifact_args(_write_artifacts(tmp_path), ["params"]),
+        "--h", str(h), *flags, "--out", str(tmp_path / "out.json")]
+
+
+def _loaded_basis_family(tmp_path):
+    """`itdpf eval` with the basis family at h = N = MAX_H + 1 written
+    by hand: certifying it takes about h^3 = 10^9 steps."""
+    h = MAX_H + 1
+    _write_artifacts(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps({
+        "M": PARAMS.M, "h": h, "N": h, "certified": True,
+        "U": [[int(i == j) for j in range(h)] for i in range(h)],
+        "V": [[int(i != j) for j in range(h)] for i in range(h)]}))
+    return ["eval", *_artifact_args(tmp_path, sorted(ARTIFACTS)), "--x", "1"]
+
+
 BOUND_CASES = {
     "order_2_to_32": ["params", "--primes", "3", "--p", "2", "--tau", "32"],
     "prime_m_near_2_to_61": ["params", "--primes", "2305843009213693951",
@@ -355,21 +490,30 @@ BOUND_CASES = {
                              "--p", "2305843009213693951"],
     "m_of_six_primes": ["params", "--primes", "3,5,7,13,17,241", "--p", "2"],
     "no_prime": ["params", "--primes", ",", "--p", "2"],
-    "loaded_order_65521_to_16": _huge_field_params,
-    "loaded_m_5592405": _huge_subgroup_params,
-    "loaded_list_among_primes": _list_among_primes,
+    "loaded_order_65521_to_16": _scheme_on(_huge_field_params),
+    "loaded_m_5592405": _scheme_on(_huge_subgroup_params),
+    "loaded_list_among_primes": _scheme_on(_list_among_primes),
+    "family_h_20000": _family_with_h(20000),
+    "family_h_1025": _family_with_h(MAX_H + 1),
+    "family_search_h_20000": _family_with_h(20000, "--search"),
+    "bench_h_20000": lambda tmp_path: [
+        "bench", *_artifact_args(_write_artifacts(tmp_path),
+                                 ["params", "scheme"]),
+        "--h-values", "20000"],
+    "demo_h_20000": lambda tmp_path: [
+        "demo", "--workdir", str(tmp_path / "demo"), "--h", "20000"],
+    "loaded_family_h_1025": _loaded_basis_family,
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_cli_size_bounds_exit_2(tmp_path, case):
     argv = BOUND_CASES[case]
-    if callable(argv):
-        argv = ["scheme", "--params", argv(tmp_path)]
+    argv = (argv(tmp_path) if callable(argv)
+            else [*argv, "--out", str(tmp_path / "out.json")])
     env = {**os.environ, "PYTHONPATH": str(Path(itdpf.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_CLI, *argv, "--out",
-         str(tmp_path / "out.json")],
+        [sys.executable, "-c", CAPPED_CLI, *argv],
         capture_output=True, text=True, timeout=BOUND_TIMEOUT_S, env=env)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("parameter error:")

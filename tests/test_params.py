@@ -79,7 +79,7 @@ def test_build_params_binary_fixture(params_a):
     assert len(params_a.S_M) == 8
     assert params_a.S_m == (0, 1, 147, 365)
     assert params_a.n_target == 3
-    assert params_a.field.element_order(params_a.gamma) == 511
+    assert params_a.field.element_order(params_a.H[1]) == 511
 
 
 def test_build_params_odd_fixture(params_b):
