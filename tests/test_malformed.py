@@ -407,8 +407,8 @@ def test_cli_query_closed_port_fails_cleanly(artifact_dir, capsys):
 # Size bounds.
 # ---------------------------------------------------------------------------
 
-# Each case exits in about 0.2 s; the timeout leaves room for a loaded
-# host.  Before the bounds, all but the empty prime list ran for seconds
+# Each case exits in at most about 0.5 s; the timeout leaves room for a
+# loaded host.  Before the bounds, all but the empty prime list ran for seconds
 # to hours, and the large subgroup would have filled memory, hence the cap.
 BOUND_TIMEOUT_S = 5
 CAPPED_CLI = ("import resource, sys; "
