@@ -10,12 +10,13 @@ wire form: the index, the mask vector and the share vector (h blinded
 subgroup elements, then the interpolation point).  The slot l = i mod n
 is derived, never stored, and this module alone knows the layout.  A
 server holding key i evaluates any input x locally as one monomial in
-its share entries times one linear form in its mask,
-projected onto the constant coefficient; this is the collapsed form of
-the share conversion (value plus scaled gradient) whose vector form
-lives in the oracles as the reference.  Summing all 2n outputs mod p
-reconstructs the function value; any single key is distributed
-independently of the function.
+its share entries times one linear form in its mask, both over the
+support of u_x, projected onto the constant coefficient.  The monomial
+is read from H by its log, so no field power is taken on the query
+path.  This is the collapsed form of the share conversion (value plus
+scaled gradient) whose vector form lives in the oracles as the
+reference.  Summing all 2n outputs mod p reconstructs the function
+value; any single key is distributed independently of the function.
 
 Randomness contract: key generation consumes the injected rng in a
 fixed documented order (blind vector first, one subgroup index per
@@ -25,6 +26,7 @@ seeded rng reproduces keys exactly.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .errors import ArtifactMismatchError, KeyParseError, ParameterError
@@ -81,17 +83,18 @@ def make_shares(params: DpfParams, family: MatchingFamily,
                 blind: list[FieldElement]) -> list[tuple[FieldElement, ...]]:
     """Shares of alpha: for each point b, the vector of coordinate-wise
     products blind_i * b^(v_i) followed by b itself, where v is the
-    family's second vector at alpha (exponents mod m)."""
+    family's second vector at alpha (exponents mod m).  Each product is
+    read from H by its log, log(blind_i) + v_i * log(b) mod m."""
     _check_context(params, family, scheme)
-    fld = params.field
     if len(blind) != family.h:
         raise ParameterError(f"blind vector must have length {family.h}")
-    for z in blind:
-        if not fld.in_subgroup(z, params.m):
-            raise ParameterError("blind entry outside the order-m subgroup")
+    H, log, m = params.H, params.H_log, params.m
+    if any(z.enc not in log for z in blind):
+        raise ParameterError("blind entry outside the order-m subgroup")
+    blind_logs = [log[z.enc] for z in blind]
     v_alpha = family.v(alpha)
-    return [tuple(blind[i] * fld.pow(b, v_alpha[i] % params.m)
-                  for i in range(family.h)) + (b,)
+    return [tuple(H[(k + v * log[b.enc]) % m]
+                  for k, v in zip(blind_logs, v_alpha)) + (b,)
             for b in scheme.points]
 
 
@@ -103,7 +106,8 @@ def keygen(params: DpfParams, family: MatchingFamily,
     The correction vector is (blind^{-u_alpha} * beta) * (1, v_alpha),
     with v_alpha entries reduced mod p into the prime subfield; it is
     split as mask0 + mask1 with mask0 uniform, and key i = n*j + l
-    carries (mask_j, share_l).
+    carries (mask_j, share_l).  blind^{-u_alpha} is H at minus the sum
+    of u_i * log(blind_i) over the support of u_alpha.
     """
     _check_context(params, family, scheme)
     if func.domain_size != family.size:
@@ -116,13 +120,12 @@ def keygen(params: DpfParams, family: MatchingFamily,
     m = params.m
     h = family.h
 
-    blind = [params.H[rng.randrange(m)] for _ in range(h)]
+    blind_logs = [rng.randrange(m) for _ in range(h)]
+    blind = [params.H[k] for k in blind_logs]
     shares = make_shares(params, family, scheme, func.alpha, blind)
 
-    u_alpha = family.u(func.alpha)
-    correction = fld.one
-    for i in range(h):
-        correction = correction * fld.pow(blind[i], (-u_alpha[i]) % m)
+    correction = params.H[-sum(u * blind_logs[i] for i, u
+                               in family.supports[func.alpha - 1]) % m]
     scaled = correction * fld.const(func.beta)
 
     v_alpha = family.v(func.alpha)
@@ -142,7 +145,8 @@ def evaluate_key(params: DpfParams, family: MatchingFamily,
     """One server's output share at input x, a residue mod p: the
     constant term of a0 * value * (mask[0] - sum_i (u_i mod p)*mask[i+1])
     with value = prod_i c_i^(u_i mod m), u = u_x, c the share entries and
-    a0 the slot's first recovery coefficient.
+    a0 the slot's first recovery coefficient.  Both sums run over the
+    support of u_x, and value is H[sum_i u_i * log(c_i) mod m].
 
     This is the mask's inner product with oracles.convert_share,
     collapsed: each c_i lies in the order-m subgroup, so c_i times the
@@ -154,16 +158,16 @@ def evaluate_key(params: DpfParams, family: MatchingFamily,
     if not 1 <= x <= family.size:
         raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
     fld = params.field
-    m, p = params.m, params.p
-    share, mask = key.share, key.mask
-    value = fld.one
+    p = params.p
+    share, mask, log = key.share, key.mask, params.H_log
+    exponent = 0
     linear = fld.zero
-    for i, u in enumerate(family.u(x)):
-        if u % m:
-            value = value * fld.pow(share[i], u % m)
+    for i, u in family.supports[x - 1]:
+        exponent += u * log[share[i].enc]
         if u % p:
             linear = linear + fld.const(u % p) * mask[i + 1]
     a0 = scheme.coeffs[key.index % scheme.n][0]
+    value = params.H[exponent % params.m]
     return (a0 * value * (mask[0] - linear)).constant_term
 
 
@@ -179,7 +183,7 @@ def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
     """Reject a key that evaluate_key cannot serve: wrong vector length
     for the family's h, an index outside [0, 2n), a share point other
     than its slot's interpolation point, or a share entry outside the
-    order-m subgroup (evaluate_key relies on c_i^m = 1)."""
+    order-m subgroup (evaluate_key reads the log of each c_i)."""
     n = scheme.n
     if len(key.mask) != h + 1 or len(key.share) != h + 1:
         raise ParameterError(
@@ -191,9 +195,8 @@ def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
     if key.share[h] != scheme.points[slot]:
         raise ParameterError(
             f"key share point is not the interpolation point of slot {slot}")
-    for c in key.share[:h]:
-        if not params.field.in_subgroup(c, params.m):
-            raise ParameterError("key share entry outside the order-m subgroup")
+    if any(c.enc not in params.H_log for c in key.share[:h]):
+        raise ParameterError("key share entry outside the order-m subgroup")
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +213,21 @@ def key_byte_length(params: DpfParams, h: int) -> int:
     return KEY_HEADER_LEN + 2 * (h + 1) * params.tau * coeff_width(params.p)
 
 
+def _coeff_format(p: int, count: int) -> str:
+    """struct format of `count` packed coefficients mod p."""
+    return f"<{count}{'B' if coeff_width(p) == 1 else 'H'}"
+
+
 def _pack_elements(params: DpfParams, elems) -> bytes:
-    width = coeff_width(params.p)
-    out = bytearray()
-    for e in elems:
-        for c in e.coeffs:
-            out += c.to_bytes(width, "little")
-    return bytes(out)
+    coeffs = [c for e in elems for c in e.coeffs]
+    return struct.pack(_coeff_format(params.p, len(coeffs)), *coeffs)
 
 
 def serialize_key(params: DpfParams, key: DpfKey) -> bytes:
     """Binary form: magic, version, 2-byte index, then the mask and share
     vectors as packed little-endian coefficient arrays."""
     return (KEY_MAGIC + bytes([KEY_VERSION]) + key.index.to_bytes(2, "big")
-            + _pack_elements(params, key.mask)
-            + _pack_elements(params, key.share))
+            + _pack_elements(params, key.mask + key.share))
 
 
 def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
@@ -237,33 +240,29 @@ def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
         raise KeyParseError(f"unsupported key version {data[4]}", 4)
     index = int.from_bytes(data[5:7], "big")
 
-    width = coeff_width(params.p)
-    stride = params.tau * width
+    p, tau = params.p, params.tau
+    width = coeff_width(p)
     body = len(data) - KEY_HEADER_LEN
-    if body % (2 * stride) != 0:
+    if body % (2 * tau * width) != 0:
         raise KeyParseError("key body length is not element-aligned", len(data))
-    per_vector = body // (2 * stride)
+    per_vector = body // (2 * tau * width)
     if per_vector < 2:
         raise KeyParseError("key body too short for any share vector", len(data))
 
-    def read_vector(offset: int):
-        elems = []
-        for _ in range(per_vector):
-            coeffs = []
-            for _ in range(params.tau):
-                c = int.from_bytes(data[offset:offset + width], "little")
-                if c >= params.p:
-                    raise KeyParseError(f"coefficient {c} out of range", offset)
-                coeffs.append(c)
-                offset += width
-            elems.append(params.field.element(coeffs))
-        return tuple(elems), offset
-
-    mask, offset = read_vector(KEY_HEADER_LEN)
-    share, _ = read_vector(offset)
+    coeffs = struct.unpack_from(_coeff_format(p, body // width), data,
+                                KEY_HEADER_LEN)
+    if max(coeffs) >= p:
+        k = next(k for k, c in enumerate(coeffs) if c >= p)
+        raise KeyParseError(f"coefficient {coeffs[k]} out of range",
+                            KEY_HEADER_LEN + k * width)
+    fld = params.field
+    encs = coeffs if tau == 1 else [fld.encode(coeffs[k:k + tau])
+                                    for k in range(0, len(coeffs), tau)]
+    elems = tuple(map(fld.decode, encs))
     if not 0 <= index < 2 * n:
         raise ParameterError(f"key index {index} outside [0, {2 * n})")
-    return DpfKey(index=index, mask=mask, share=share)
+    return DpfKey(index=index, mask=elems[:per_vector],
+                  share=elems[per_vector:])
 
 
 def key_to_json(params: DpfParams, n: int, key: DpfKey,

@@ -464,10 +464,6 @@ class Field:
                 order //= f
         return order
 
-    def in_subgroup(self, a: FieldElement, m: int) -> bool:
-        """True when a is a (nonzero) m-th root of unity."""
-        return a.enc != 0 and self.pow(a, m) == self.one
-
     def random_element(self, rng) -> FieldElement:
         """Uniform element; draws tau residues mod p in coefficient order."""
         return self.decode(self.encode([rng.randrange(self.p) for _ in range(self.tau)]))

@@ -21,6 +21,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 from .field import MAX_P, Field, FieldElement, is_prime
@@ -84,6 +85,13 @@ class DpfParams:
     S_m: tuple[int, ...]
     S_M: tuple[int, ...]
     n_target: int
+
+    @cached_property
+    def H_log(self) -> dict[int, int]:
+        """Discrete log of each element of H, keyed by its encoding: the
+        element c lies in H exactly when c.enc is a key, and then
+        H[H_log[c.enc]] == c.  m entries, so no full-field table."""
+        return {b.enc: k for k, b in enumerate(self.H)}
 
 
 def _multiplicative_order(p: int, m: int) -> int:
@@ -200,6 +208,8 @@ def parse_artifact(data: bytes, what: str) -> dict:
         obj = json.loads(data)
     except ValueError as exc:    # bad JSON or bad UTF-8
         raise ParameterError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParameterError(f"{what} file nests too deeply") from exc
     if not isinstance(obj, dict):
         raise ParameterError(f"{what} file is not a JSON object")
     return obj

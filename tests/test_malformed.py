@@ -518,3 +518,34 @@ def test_cli_size_bounds_exit_2(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("parameter error:")
     assert "Traceback" not in proc.stderr
+
+
+# json.loads raises RecursionError, not ValueError, on this.
+DEEP = b"[" * 100000
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_deep_nesting(name):
+    with pytest.raises(ParameterError, match="nests too deeply"):
+        LOADERS[name](DEEP)
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_cli_deep_nesting_exits_2(artifact_dir, tmp_path, capsys, name):
+    rc, err = _eval(artifact_dir, tmp_path, capsys, **{name: DEEP.decode()})
+    assert rc == 2
+    assert err.startswith("parameter error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_scheme_on_deep_params_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(DEEP)
+    env = {**os.environ, "PYTHONPATH": str(Path(itdpf.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "itdpf", "scheme", "--params", str(deep),
+         "--out", str(tmp_path / "scheme.json")],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parameter error:")
+    assert proc.stderr.count("\n") == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,3 +128,77 @@ def test_dot_mod_is_exact_for_large_entries():
     u = tuple(1021 for _ in range(h))
     v = tuple(1021 for _ in range(h))
     assert dot_mod(u, v, 1022) == (1021 * 1021 * h) % 1022
+
+
+# ---------------------------------------------------------------------------
+# The sparse certificate against a dense reference.
+# ---------------------------------------------------------------------------
+
+def _dense_verify(family, S_M):
+    """verify_family as it reads from the definition: every dot product
+    over all h coordinates, pairs in row-major order."""
+    allowed = set(S_M) - {0}
+    checked = 0
+    for i in range(family.size):
+        for j in range(family.size):
+            prod = dot_mod(family.U[i], family.V[j], family.modulus)
+            checked += 1
+            if (prod != 0) if i == j else (prod not in allowed):
+                return False, checked, (i + 1, j + 1, prod)
+    return True, checked, None
+
+
+def _with_entry(rows, r, c, value):
+    row = list(rows[r])
+    row[c] = value
+    return rows[:r] + (tuple(row),) + rows[r + 1:]
+
+
+def _reference_cases(params_b):
+    """(family, S_M): the broken families of the tests, searched and
+    scaled families, and random families with sparse rows."""
+    fam3, fam8 = trivial_family(30, 3), trivial_family(30, 8)
+    cases = [
+        MatchingFamily(30, 3, fam3.U, (fam3.U[0],) + fam3.V[1:]),
+        MatchingFamily(30, 3, fam3.U, _with_entry(fam3.V, 1, 0, 2)),
+        MatchingFamily(30, 2, ((5, 5),), ((5, 25),)),
+        MatchingFamily(30, 2, ((5, 5),), ((5, 26),)),
+        MatchingFamily(30, 8, fam8.U, _with_entry(fam8.V, 2, 6, 2)),
+        MatchingFamily(30, 8, fam8.U, _with_entry(fam8.V, 0, 0, 1)),
+        MatchingFamily(30, 8, fam8.U, _with_entry(fam8.V, 0, 3, 2)),
+        MatchingFamily(30, 8, _with_entry(fam8.U, 7, 7, 30), fam8.V),
+        MatchingFamily(30, 8, _with_entry(fam8.U, 5, 2, -29), fam8.V),
+    ]
+    cases += [search_family(params_b, h=4, n_goal=5, seed=seed, budget=4000)
+              for seed in range(4)]
+    cases.append(search_family(params_b, h=4, n_goal=6, seed=7, budget=20000))
+    cases += [MatchingFamily(30, 8, tuple(tuple(c * e for e in u)
+                                          for u in fam8.U), fam8.V)
+              for c in (1, 6, 25, 30, 2)]
+    rng = random.Random(11)
+    for _ in range(200):
+        h, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        U = tuple(tuple(rng.choice((0, 0, 30, rng.randrange(-60, 60)))
+                        for _ in range(h)) for _ in range(n))
+        V = tuple(tuple(rng.randrange(30) for _ in range(h))
+                  for _ in range(n))
+        cases.append(MatchingFamily(30, h, U, V))
+    return cases
+
+
+def test_sparse_certificate_matches_dense_reference(params_b):
+    outcomes = set()
+    for family in _reference_cases(params_b):
+        cert = verify_family(family, S_30)
+        expected = _dense_verify(family, S_30)
+        assert (cert.ok, cert.checked_pairs, cert.violation) == expected
+        outcomes.add((cert.ok, expected[2] is not None
+                      and expected[2][0] == expected[2][1]))
+    # Both outcomes occur, and violations on and off the diagonal.
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def test_supports_skip_zero_entries_mod_M():
+    fam = MatchingFamily(30, 4, ((0, 30, 7, -60), (1, 0, 0, 31)),
+                         ((0,) * 4,) * 2)
+    assert fam.supports == (((2, 7),), ((0, 1), (3, 31)))
