@@ -256,8 +256,7 @@ def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
         raise KeyParseError(f"coefficient {coeffs[k]} out of range",
                             KEY_HEADER_LEN + k * width)
     fld = params.field
-    encs = coeffs if tau == 1 else [fld.encode(coeffs[k:k + tau])
-                                    for k in range(0, len(coeffs), tau)]
+    encs = [fld.encode(coeffs[k:k + tau]) for k in range(0, len(coeffs), tau)]
     elems = tuple(map(fld.decode, encs))
     if not 0 <= index < 2 * n:
         raise ParameterError(f"key index {index} outside [0, {2 * n})")

@@ -162,7 +162,11 @@ def certified_family(family: MatchingFamily, S_M) -> MatchingFamily:
         i, j, prod = cert.violation
         raise ParameterError(
             f"matching family violated at pair ({i}, {j}): product {prod}")
-    return MatchingFamily(family.modulus, family.h, family.U, family.V, True)
+    marked = MatchingFamily(family.modulus, family.h, family.U, family.V, True)
+    # Hand over the supports the certificate just built, so that the
+    # first query does not build them a second time.
+    marked.__dict__["supports"] = family.supports
+    return marked
 
 
 def family_to_json(family: MatchingFamily) -> bytes:

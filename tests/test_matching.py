@@ -202,3 +202,10 @@ def test_supports_skip_zero_entries_mod_M():
     fam = MatchingFamily(30, 4, ((0, 30, 7, -60), (1, 0, 0, 31)),
                          ((0,) * 4,) * 2)
     assert fam.supports == (((2, 7),), ((0, 1), (3, 31)))
+
+
+def test_certified_family_keeps_the_supports_it_checked():
+    fam = trivial_family(30, 3)
+    marked = certified_family(fam, S_30)
+    assert marked.__dict__["supports"] is fam.supports
+    assert marked.supports == fam.supports
