@@ -17,7 +17,8 @@ from .errors import (ArtifactMismatchError, FamilyViolationError,
 from .field import Field, FieldElement, find_irreducible
 from .interpolation import (InterpolationScheme, build_scheme, hasse_monomial,
                             verify_scheme)
-from .matching import MatchingFamily, search_family, trivial_family, verify_family
+from .matching import (MatchingFamily, product_family, trivial_family,
+                       verify_family)
 from .oracles import convert_share
 from .params import DpfParams, build_params, canonical_set, check_lift_condition
 
@@ -28,6 +29,6 @@ __all__ = [
     "PointFunction", "build_params", "build_scheme",
     "canonical_set", "check_lift_condition", "convert_share",
     "deserialize_key", "evaluate_all", "evaluate_key", "find_irreducible",
-    "hasse_monomial", "keygen", "make_shares", "search_family",
+    "hasse_monomial", "keygen", "make_shares", "product_family",
     "serialize_key", "trivial_family", "verify_family", "verify_scheme",
 ]

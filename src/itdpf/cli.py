@@ -52,15 +52,6 @@ def _load_params(path: str):
     return params_mod.params_from_json(data), params_mod.digest_bytes(data)
 
 
-def _load_family(path: str, params):
-    family = matching.family_from_json(_read(path))
-    if family.modulus != params.M:
-        raise ParameterError(
-            f"family modulus {family.modulus} != params M {params.M}")
-    # Load gate: never hand an unverified family to key generation.
-    return matching.certified_family(family, params.S_M)
-
-
 def _load_scheme(path: str, params):
     scheme = interpolation.scheme_from_json(params, _read(path))
     cert = interpolation.verify_scheme(params, scheme, random_polynomials=0)
@@ -74,7 +65,7 @@ def _load_artifacts(args):
     """params, its file digest, scheme and family of --params/--scheme/--family."""
     params, digest = _load_params(args.params)
     return (params, digest, _load_scheme(args.scheme, params),
-            _load_family(args.family, params))
+            matching.family_from_json(params, _read(args.family)))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -122,9 +113,8 @@ def cmd_scheme(args) -> int:
 
 def cmd_family(args) -> int:
     params, _ = _load_params(args.params)
-    if args.search:
-        family = matching.search_family(params, args.h, args.n_goal,
-                                        args.seed, args.budget)
+    if args.product:
+        family = matching.product_family(params, args.h)
     else:
         family = matching.trivial_family(params.M, args.h)
     cert = matching.verify_family(family, params.S_M)
@@ -411,11 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="construct a matching family")
     p.add_argument("--params", required=True)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--search", action="store_true",
-                   help="randomized search instead of the standard-basis family")
-    p.add_argument("--n-goal", type=int, default=4, dest="n_goal")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--product", action="store_true",
+                   help="CRT product family, N = (h/d)^d (default: basis, N = h)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_family)
 

@@ -10,7 +10,6 @@ view of U that evaluation and certification iterate.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,8 +17,9 @@ from .errors import ParameterError
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
                      parse_artifact)
 
-# Bound on h and N: certification costs O(N^2 * nnz(u)), 0.35 s for the
-# basis family at h = N = 1024 and cubic in h for dense rows.
+# Bound on h and N: `itdpf family` and `verify` certify a family in
+# O(N^2 * nnz(u)), 0.35 s for the basis family at h = N = 1024.  The
+# product family with d = 3 primes stays within it for k <= 10.
 MAX_H = 1024
 
 
@@ -83,43 +83,32 @@ def trivial_family(modulus: int, h: int) -> MatchingFamily:
     return MatchingFamily(modulus, h, U, V, certified=True)
 
 
-def search_family(params: DpfParams, h: int, n_goal: int, seed: int,
-                  budget: int) -> MatchingFamily:
-    """Randomized greedy search for a family of up to n_goal pairs.
+def product_family(params: DpfParams, h: int) -> MatchingFamily:
+    """CRT product family of size N = k^d with k = h/d, where d counts the
+    primes q_0 < ... < q_{d-1} of M (those of m, plus p).
 
-    Samples (u, v) with u . v = 0 mod M, keeps a candidate only when all
-    cross products against the accepted pairs stay in S_M \\ {0}, and
-    stops at n_goal or when the sampling budget runs out.  An undersized
-    result is still a valid certified family.
+    Coordinate block t holds positions t*k .. t*k+k-1, and e_t is the CRT
+    idempotent (1 mod q_t, 0 mod every other prime).  Write
+    x - 1 = sum_t a_t*k^t: u_x is e_t at position a_t of block t, and v_x
+    is e_t everywhere in block t except there.  So u_x . v_y is
+    [a_t != b_t] mod each q_t: 0 exactly when x = y, else in S_M.
     """
     _check_bound("h", h)
-    if n_goal < 1 or budget < 1:
-        raise ParameterError("n_goal and budget must be positive")
-    modulus = params.M
-    allowed = set(params.S_M) - {0}
-    rng = random.Random(seed)
-    U: list[tuple[int, ...]] = []
-    V: list[tuple[int, ...]] = []
-    for _ in range(budget):
-        if len(U) >= n_goal:
-            break
-        u = tuple(rng.randrange(modulus) for _ in range(h))
-        v = tuple(rng.randrange(modulus) for _ in range(h))
-        if dot_mod(u, v, modulus) != 0:
-            continue
-        ok = all(
-            dot_mod(u, V[k], modulus) in allowed
-            and dot_mod(U[k], v, modulus) in allowed
-            for k in range(len(U))
-        )
-        if ok:
-            U.append(u)
-            V.append(v)
-    family = MatchingFamily(modulus, h, tuple(U), tuple(V))
-    cert = verify_family(family, params.S_M)
-    if not cert.ok:
-        raise AssertionError("search produced an uncertified family (bug)")
-    return MatchingFamily(modulus, h, tuple(U), tuple(V), certified=True)
+    primes = sorted(params.primes + (params.p,))
+    d, M = len(primes), params.M
+    if h % d:
+        raise ParameterError(f"h={h} is not a multiple of the {d} primes of M")
+    k = h // d
+    _check_bound("N", k ** d)
+    idempotents = [M // q * pow(M // q, -1, q) % M for q in primes]
+    U, V = [], []
+    for x in range(k ** d):
+        digits = [x // k ** t % k for t in range(d)]
+        U.append(tuple(e if i == a else 0
+                       for e, a in zip(idempotents, digits) for i in range(k)))
+        V.append(tuple(0 if i == a else e
+                       for e, a in zip(idempotents, digits) for i in range(k)))
+    return MatchingFamily(M, h, tuple(U), tuple(V), certified=True)
 
 
 @dataclass(frozen=True)
@@ -181,16 +170,37 @@ def family_to_json(family: MatchingFamily) -> bytes:
     return canonical_json_bytes(obj)
 
 
-def family_from_json(data: bytes) -> MatchingFamily:
+def family_from_json(params: DpfParams, data: bytes) -> MatchingFamily:
+    """Rebuild the family from the file's h and N: the basis family when
+    N = h, the product family when d divides h and (h/d)^d = N.  The file
+    must be exactly what family_to_json writes for one of them.  It is
+    compared as parsed, so a load never serialises the family."""
     obj = parse_artifact(data, "family")
     with artifact_fields("family"):
-        _check_bound("h", obj["h"])
-        _check_bound("N", obj["N"])
-        U = tuple(tuple(int(x) for x in row) for row in obj["U"])
-        V = tuple(tuple(int(x) for x in row) for row in obj["V"])
-        fam = MatchingFamily(obj["M"], obj["h"], U, V, bool(obj["certified"]))
-        if len(U) != obj["N"] or len(V) != obj["N"]:
-            raise ParameterError("family file N does not match vector count")
-    if any(len(u) != fam.h for u in U) or any(len(v) != fam.h for v in V):
-        raise ParameterError("family file vector length does not match h")
-    return fam
+        h, n = obj["h"], obj["N"]
+        d = len(params.primes) + 1
+        rebuilt = [trivial_family(params.M, h)] if n == h else []
+        if h % d == 0 and (h // d) ** d == n:
+            rebuilt.append(product_family(params, h))
+    for family in rebuilt:
+        if _written_for(obj, family):
+            return family
+    raise ParameterError(
+        "family file is not the basis or the product family of its h and N")
+
+
+def _written_for(obj: dict, family: MatchingFamily) -> bool:
+    """Whether a parsed family file is what family_to_json writes for the
+    certified `family`.  Types count: a JSON 1.0 or true is not 1."""
+    return (obj.keys() == {"M", "h", "N", "U", "V", "certified"}
+            and [(type(obj[k]), obj[k]) for k in ("M", "N", "certified")]
+            == [(int, family.modulus), (int, family.size), (bool, True)]
+            and _same_rows(obj["U"], family.U)
+            and _same_rows(obj["V"], family.V))
+
+
+def _same_rows(rows, rebuilt) -> bool:
+    return (type(rows) is list and len(rows) == len(rebuilt)
+            and all(type(row) is list and tuple(row) == r
+                    and all(type(e) is int for e in row)
+                    for row, r in zip(rows, rebuilt)))

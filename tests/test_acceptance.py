@@ -18,7 +18,8 @@ from itdpf.dpf import PointFunction, evaluate_key, keygen
 from itdpf.errors import FamilyViolationError
 from itdpf.interpolation import (InterpolationScheme, build_scheme,
                                  verify_scheme)
-from itdpf.matching import MatchingFamily, search_family, trivial_family, verify_family
+from itdpf.matching import (MatchingFamily, product_family, trivial_family,
+                            verify_family)
 from itdpf.oracles import (check_distribution_equality,
                            derivative_consistency_check, key_size_sweep,
                            reconstruction_identity_check)
@@ -165,19 +166,21 @@ def test_criterion_7_key_size_formula(params_a, scheme_a):
                      f"h in {{2,4,8,16,32}}; affine residual = {residual}")
 
 
-def test_criterion_8_family_certificates(params_b):
+def test_criterion_8_family_certificates(params_a, params_b):
     ok = all(verify_family(trivial_family(1022, h),
                            (0, 1, 147, 365, 511, 512, 658, 876)).ok
              for h in range(1, 65))
-    for seed in range(4):
-        fam = search_family(params_b, h=4, n_goal=5, seed=seed, budget=4000)
-        ok &= verify_family(fam, params_b.S_M).ok
+    for params in (params_a, params_b):
+        for k in range(1, 5):
+            fam = product_family(params, h=3 * k)
+            ok &= fam.size == k ** 3 and verify_family(fam, params.S_M).ok
     fam = trivial_family(30, 4)
     broken = MatchingFamily(30, 4, fam.U, (fam.U[0],) + fam.V[1:])
     cert = verify_family(broken, params_b.S_M)
     ok &= (not cert.ok) and cert.violation == (1, 1, 1)
-    _announce(8, ok, "trivial families certify for h in [1,64]; search "
-                     "outputs certify; corruption names pair (1, 1)")
+    _announce(8, ok, "trivial families certify for h in [1,64]; product "
+                     "families certify for N = k^3, k in [1,4]; corruption "
+                     "names pair (1, 1)")
 
 
 def test_criterion_9_distributed_demo(tmp_path_factory):

@@ -216,6 +216,24 @@ def test_verify_exhaustive_small_fixture(tmp_path, capsys):
     assert "skipped" not in by_name["distribution_equality"]
 
 
+@pytest.mark.parametrize("primes, p", [("7,73", "2"), ("2,3", "5")])
+def test_product_family_end_to_end(tmp_path, capsys, primes, p):
+    """The product family at h = 12 (N = 64) through keygen and an
+    exhaustive verify with the keys: every check passes and the keys
+    reconstruct the point."""
+    paths = _pipeline(tmp_path, primes=primes, p=p, h="12")
+    assert main(["family", "--params", paths["params"], "--h", "12",
+                 "--product", "--out", paths["family"]]) == 0
+    assert _last_json(capsys)["N"] == 64
+    keys = _keygen(tmp_path, paths, alpha=50, beta=1, seed=5)
+    assert main(["verify", "--params", paths["params"],
+                 "--scheme", paths["scheme"], "--family", paths["family"],
+                 "--exhaustive", "--keys", *keys]) == 0
+    out = capsys.readouterr().out
+    assert "reconstruction: point (50, 1)" in out
+    assert json.loads(out.strip().splitlines()[-1])["ok"] is True
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -253,12 +271,12 @@ def test_full_rerun_hashes_identical(tmp_path):
 
 
 def _artifact_hashes(workdir, primes, p):
-    """sha256 of params, scheme, the basis family at h=16, a searched
-    family and the basis family's keys at alpha=3, beta=1, seed=41."""
+    """sha256 of params, scheme, the basis family at h=16, the product
+    family at h=6 and the basis family's keys at alpha=3, beta=1, seed=41."""
     paths = _pipeline(workdir, primes=primes, p=p, h="16")
-    paths["searched"] = str(workdir / "searched.json")
-    assert main(["family", "--params", paths["params"], "--h", "4",
-                 "--search", "--out", paths["searched"]]) == 0
+    paths["product"] = str(workdir / "product.json")
+    assert main(["family", "--params", paths["params"], "--h", "6",
+                 "--product", "--out", paths["product"]]) == 0
     for i, key in enumerate(_keygen(workdir, paths, alpha=3, beta=1, seed=41)):
         paths[f"key_{i}"] = key
     digests = {}
@@ -268,14 +286,15 @@ def _artifact_hashes(workdir, primes, p):
     return digests
 
 
-# Recorded from the commit before the closed-form lift; the artifacts of
-# both fixtures must stay byte-identical across commits.
+# Recorded from the commit before the closed-form lift, except the product
+# family's, recorded when it was added; the artifacts of both fixtures
+# must stay byte-identical across commits.
 PINNED_HASHES = {
     "7,73": {
         "params": "eb13becb4e5f3c11a58a13e885d44645f64cc159bf5fcca3890874d5452d9583",
         "scheme": "7427bf2e11372a4115fadd69083a94d0be9367021aebfc75992125d9a9278e11",
         "family": "d39df56a0b97a95e792f537a201577d046553cc128884062f7c1f030a68f3b18",
-        "searched": "33cbd540b87fb5201b1eab6dfff3bccb3122fa905ab5cd82e57ea29d094553cb",
+        "product": "00a0b10b1a778c5039ac4329da5b39a1e4a87aea1437dbecd7fe9e24bf678b34",
         "key_0": "0a30b362b51bfd814e9016abb96ad326763359e2d36b0cf0f6494184309dca6a",
         "key_1": "94054f719073607f8e0300bf37e1ebf0f0243aba30eb37c856f612b240c5f4a9",
         "key_2": "654a4552928c1875be080036a74ecd690b4b34e87d349e1edceb7025ec31c721",
@@ -287,7 +306,7 @@ PINNED_HASHES = {
         "params": "4312dec9336ce695bd98b6f2ddd17168e71207dd534b9935512ac143a17537c5",
         "scheme": "cd8e55cae2696e71c0df0f7a17f9b9474b8baf80c11d0c8d135a192df8f8b06a",
         "family": "2494b27024940b5e81ec9610452da179f96e8838e819bc79e8d8d3c014538e0a",
-        "searched": "db3cbaa007a7a369c80509c40e77ae6f1317a7de3a21f560a00bf08ef50f52cb",
+        "product": "02c96a88b324d5989cc182cc002ad474927f061c0cc72c95090d844e2c2982a8",
         "key_0": "2ba2fc8f146e82c5301bff48a60a525bd197417599ba12716e540cd9fad7c0f1",
         "key_1": "e74b1606dd6403015c05045118018196ab39caf89b42b975b48fec8c9c135b39",
         "key_2": "3d738f11db6791929c1eb5ab08633c9feeacc955088cf5c6650075931e6743ac",

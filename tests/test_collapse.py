@@ -12,7 +12,7 @@ import random
 import pytest
 
 from itdpf.dpf import PointFunction, evaluate_all, evaluate_key, keygen
-from itdpf.matching import (MatchingFamily, certified_family, search_family,
+from itdpf.matching import (MatchingFamily, certified_family, product_family,
                             trivial_family)
 from itdpf.oracles import convert_share
 
@@ -50,14 +50,16 @@ def test_collapse_matches_reference_odd(params_b, scheme_b, family_b8):
     _assert_matches_reference(params_b, family_b8, scheme_b, seeds=(1, 2, 3))
 
 
-def test_collapse_matches_reference_searched_family(params_b, scheme_b):
-    family = search_family(params_b, h=4, n_goal=6, seed=7, budget=20000)
-    # Not a basis family: some u_x has several nonzero entries, so the
-    # linear form and the monomial each span more than one coordinate.
-    assert any(sum(1 for e in family.u(x) if e % params_b.M) > 1
-               for x in range(1, family.size + 1))
-    _assert_matches_reference(params_b, family, scheme_b, seeds=range(6))
-
+def test_collapse_matches_reference_product_family(params_a, scheme_a,
+                                                   params_b, scheme_b):
+    for params, scheme in ((params_a, scheme_a), (params_b, scheme_b)):
+        for k in range(1, 5):
+            family = product_family(params, h=3 * k)
+            # Not a basis family: each u_x has three nonzero entries.  The
+            # one that is 1 mod p is 0 mod m and feeds the linear form
+            # alone; the other two are 0 mod p and feed the monomial alone.
+            assert all(len(support) == 3 for support in family.supports)
+            _assert_matches_reference(params, family, scheme, seeds=(k,))
 
 
 def _scaled_basis_family(params, c, h=8):

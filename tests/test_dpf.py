@@ -9,7 +9,7 @@ from itdpf.dpf import (DpfKey, PointFunction,
                        make_shares, serialize_key)
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
 from itdpf.interpolation import InterpolationScheme
-from itdpf.matching import MatchingFamily, trivial_family
+from itdpf.matching import MatchingFamily, product_family, trivial_family
 from itdpf.oracles import convert_share
 
 
@@ -177,22 +177,25 @@ def test_correctness_odd_fixture_all_beta(params_b, scheme_b, family_b8):
             assert got == (beta if x == 2 else 0)
 
 
-def test_correctness_over_searched_family(params_b, scheme_b):
-    # Non-basis exponent vectors: every gradient entry can be active, so
-    # this exercises the generic monomial code rather than the
-    # single-slot structure of the standard-basis family.
-    from itdpf.matching import search_family
-    fam = search_family(params_b, h=4, n_goal=6, seed=7, budget=20000)
-    assert fam.size == 3
-    assert any(sum(1 for e in u if e % params_b.p) > 1 for u in fam.U)
-    for alpha in range(1, fam.size + 1):
-        for beta in (0, 2, 4):
-            keys = keygen(params_b, fam, scheme_b,
-                          PointFunction(fam.size, 5, alpha, beta),
-                          random.Random(10 * alpha + beta))
-            for x in range(1, fam.size + 1):
-                got = _sum_eval(params_b, fam, scheme_b, keys, x)
-                assert got == (beta if x == alpha else 0), (alpha, beta, x)
+def test_correctness_over_product_family(params_a, scheme_a,
+                                         params_b, scheme_b):
+    # Non-basis exponent vectors: each u_x has a nonzero entry in every
+    # block, so the monomial spans several coordinates of the share.
+    for params, scheme in ((params_a, scheme_a), (params_b, scheme_b)):
+        for k in range(1, 5):
+            fam = product_family(params, h=3 * k)
+            assert fam.size == k ** 3
+            assert all(sum(1 for e in u if e % params.m) == 2 for u in fam.U)
+            for alpha in range(1, fam.size + 1):
+                beta = (alpha + k) % params.p
+                keys = keygen(params, fam, scheme,
+                              PointFunction(fam.size, params.p, alpha, beta),
+                              random.Random(10 * alpha + k))
+                outputs = [evaluate_all(params, fam, scheme, key)
+                           for key in keys]
+                assert [sum(col) % params.p for col in zip(*outputs)] == [
+                    beta if x == alpha else 0
+                    for x in range(1, fam.size + 1)], (k, alpha, beta)
 
 
 def test_zero_function_sums_to_zero_everywhere(params_b, scheme_b, family_b8):

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itdpf
 from itdpf.errors import ParameterError
 from itdpf.field import Field, find_irreducible, is_irreducible, is_prime
 
@@ -278,3 +283,18 @@ def test_parse_rejects_garbage():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_cli_over_f_2_to_20_builds_no_tables(tmp_path):
+    """F_{2^20} is above TABLE_LIMIT: `params` and `scheme` on it must
+    each finish within 10 s.  Building its log tables took 43 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(itdpf.__file__).parents[1])}
+    params = str(tmp_path / "params.json")
+    for argv in (["params", "--primes", "3", "--p", "2", "--tau", "20",
+                  "--out", params],
+                 ["scheme", "--params", params,
+                  "--out", str(tmp_path / "scheme.json")]):
+        proc = subprocess.run([sys.executable, "-m", "itdpf", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr

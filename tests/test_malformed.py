@@ -4,9 +4,10 @@ deserialize_key is fed arbitrary bytes, and the four JSON loaders are fed
 arbitrary JSON values and fixture artifacts with one key dropped or one
 value swapped for a value of another JSON type.  Every call either
 returns or raises ParameterError, KeyParseError or ArtifactMismatchError.
-params.json and scheme.json are also fed with one int swapped for another
-int or one element string for another valid one; what loads must write
-back the original bytes.
+params.json, scheme.json and family.json are also fed with one int
+swapped for another int or one element string for another valid one;
+what loads must write back the original bytes.  A family file must be
+exactly the basis or the product family that its h and N rebuild.
 protocol.recv_message is fed arbitrary frames, and the server's request
 handler arbitrary types and payloads, byte-flipped keys among them; no
 request is answered ERR_INTERNAL.
@@ -41,8 +42,8 @@ from itdpf.dpf import (PointFunction, deserialize_key, key_from_json,
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
 from itdpf.field import TABLE_LIMIT, Field, find_irreducible, is_irreducible
 from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
-from itdpf.matching import (MAX_H, family_from_json, family_to_json,
-                            trivial_family)
+from itdpf.matching import (MAX_H, MatchingFamily, certified_family,
+                            family_from_json, family_to_json, trivial_family)
 from itdpf.params import (build_params, canonical_set, digest_bytes,
                           params_from_json, params_to_json)
 from itdpf.server import EvalServer
@@ -64,7 +65,7 @@ ARTIFACTS = {
 LOADERS = {
     "params": params_from_json,
     "scheme": lambda data: scheme_from_json(PARAMS, data),
-    "family": family_from_json,
+    "family": lambda data: family_from_json(PARAMS, data),
     "key": lambda data: key_from_json(PARAMS, SCHEME.n, data,
                                       expected_digest=DIGEST),
 }
@@ -165,7 +166,8 @@ def test_loaders_mutated_artifacts(case):
     _load(*case)
 
 
-WRITERS = {"params": params_to_json, "scheme": scheme_to_json}
+WRITERS = {"params": params_to_json, "scheme": scheme_to_json,
+           "family": family_to_json}
 
 
 def _leaf_paths(value, path=()):
@@ -187,9 +189,9 @@ element_strings = st.lists(st.integers(0, PARAMS.p - 1), min_size=PARAMS.tau,
 
 @st.composite
 def substituted_artifacts(draw):
-    """(loader name, bytes): params.json or scheme.json with one int
-    swapped for another int, or one element string for another valid
-    element string."""
+    """(loader name, bytes): params.json, scheme.json or family.json with
+    one int swapped for another int, or one element string for another
+    valid element string."""
     name = draw(st.sampled_from(sorted(WRITERS)))
     obj = json.loads(ARTIFACTS[name])
     path = draw(st.sampled_from(list(_leaf_paths(obj))))
@@ -298,6 +300,17 @@ def _with(name, **fields):
     return json.dumps({**json.loads(ARTIFACTS[name]), **fields})
 
 
+# What the randomized family search, since removed, wrote for this
+# fixture at h = 4: a valid family that no loader can rebuild.
+SEARCHED_FAMILY = (
+    '{"M":30,"N":3,"U":[[3,15,27,29],[2,6,8,7],[25,17,15,6]],'
+    '"V":[[12,20,2,0],[23,10,18,20],[2,29,23,2]],"certified":true,"h":4}')
+# U = 6*I with the basis V: certified, but neither construction.
+SCALED_BASIS_FAMILY = family_to_json(certified_family(
+    MatchingFamily(PARAMS.M, 2, ((6, 0), (0, 6)), FAMILY.V),
+    PARAMS.S_M)).decode()
+
+
 CLI_CASES = [
     ("key", "not_an_object", "[]"),
     ("key", "index_not_integer", _with("key", i="x")),
@@ -305,6 +318,12 @@ CLI_CASES = [
     ("key", "mask_entry_not_a_string", _with("key", omega=[5])),
     ("family", "not_an_object", "[]"),
     ("family", "vector_entry_not_integer", _with("family", U=[["x", 0]] * 2)),
+    ("family", "vector_entry_float", _with("family", U=[[1.0, 0], [0, 1]])),
+    ("family", "vector_entry_true", _with("family", U=[[True, 0], [0, 1]])),
+    ("family", "not_certified", _with("family", certified=False)),
+    ("family", "extra_field", _with("family", seed=0)),
+    ("family", "searched_family", SEARCHED_FAMILY),
+    ("family", "scaled_basis_family", SCALED_BASIS_FAMILY),
     ("scheme", "not_an_object", "[]"),
     ("scheme", "log_not_integer", _with("scheme", B_logs=[[1]] * SCHEME.n)),
     ("params", "not_an_object", "[]"),
@@ -338,7 +357,7 @@ def test_cli_malformed_artifact_exits_2(artifact_dir, tmp_path, capsys,
                                         name, text):
     rc, err = _eval(artifact_dir, tmp_path, capsys, **{name: text})
     assert rc == 2
-    assert err.startswith("parameter error:")
+    assert err.startswith("parameter error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -471,7 +490,7 @@ def _family_with_h(h, *flags):
 
 def _loaded_basis_family(tmp_path):
     """`itdpf eval` with the basis family at h = N = MAX_H + 1 written
-    by hand: certifying it takes about h^3 = 10^9 steps."""
+    by hand: the loader refuses its h before it rebuilds anything."""
     h = MAX_H + 1
     _write_artifacts(tmp_path)
     (tmp_path / "family.json").write_text(json.dumps({
@@ -495,7 +514,9 @@ BOUND_CASES = {
     "loaded_list_among_primes": _scheme_on(_list_among_primes),
     "family_h_20000": _family_with_h(20000),
     "family_h_1025": _family_with_h(MAX_H + 1),
-    "family_search_h_20000": _family_with_h(20000, "--search"),
+    "family_product_h_20000": _family_with_h(20000, "--product"),
+    "family_product_h_33": _family_with_h(33, "--product"),   # N = 11^3
+    "family_product_h_13": _family_with_h(13, "--product"),   # 13 % 3 != 0
     "bench_h_20000": lambda tmp_path: [
         "bench", *_artifact_args(_write_artifacts(tmp_path),
                                  ["params", "scheme"]),

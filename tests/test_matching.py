@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from itdpf.errors import ParameterError
 from itdpf.matching import (MatchingFamily, certified_family, dot_mod,
-                            family_from_json, family_to_json, search_family,
+                            family_from_json, family_to_json, product_family,
                             trivial_family, verify_family)
+from itdpf.params import build_params
 
 S_30 = (0, 1, 6, 10, 15, 16, 21, 25)
 S_1022 = (0, 1, 147, 365, 511, 512, 658, 876)
@@ -69,24 +71,41 @@ def test_single_pair_family():
     assert not verify_family(bad, S_30).ok
 
 
-def test_search_family_frozen_fixture(params_b):
-    fam = search_family(params_b, h=4, n_goal=6, seed=7, budget=20000)
-    assert fam.size == 3       # recorded from the first deterministic run
-    assert fam.certified
+def test_product_family_frozen_fixture(params_b):
+    # M = 30 = 2*3*5, idempotents 15, 10, 6; k = 2 gives N = 2^3 = 8.
+    fam = product_family(params_b, h=6)
+    assert fam.size == 8 and fam.certified
     assert verify_family(fam, params_b.S_M).ok
-    again = search_family(params_b, h=4, n_goal=6, seed=7, budget=20000)
+    assert fam.u(1) == (15, 0, 10, 0, 6, 0) and fam.v(1) == (0, 15, 0, 10, 0, 6)
+    assert fam.u(2) == (0, 15, 10, 0, 6, 0)      # x - 1 = 1: digits (1, 0, 0)
+    assert fam.u(8) == fam.v(1) and fam.v(8) == fam.u(1)
+    again = product_family(params_b, h=6)
     assert fam.U == again.U and fam.V == again.V
 
 
-def test_search_family_single_pair_always_succeeds(params_b):
-    fam = search_family(params_b, h=3, n_goal=1, seed=0, budget=5000)
-    assert fam.size >= 1
+def test_product_family_single_pair(params_a, params_b):
+    """k = 1: one pair, u_1 the d idempotents and v_1 zero."""
+    for params in (params_a, params_b):
+        fam = product_family(params, h=3)
+        primes = sorted(params.primes + (params.p,))
+        assert fam.size == 1 and fam.V == ((0, 0, 0),)
+        assert [[e % q for q in primes] for e in fam.u(1)] == [
+            [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert verify_family(fam, params.S_M).ok
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_search_family_outputs_always_verify(params_b, seed):
-    fam = search_family(params_b, h=4, n_goal=5, seed=seed, budget=4000)
-    assert verify_family(fam, params_b.S_M).ok
+PRODUCT_PARAMS = [((7, 73), 2), ((2, 3), 5), ((2,), 257), ((3, 5, 7), 2)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4], ids=lambda k: f"k{k}")
+def test_product_family_outputs_always_verify(k):
+    for primes, p in PRODUCT_PARAMS:
+        params = build_params(primes, p)
+        d = len(primes) + 1
+        fam = product_family(params, h=d * k)
+        assert fam.size == k ** d
+        assert all(len(support) == d for support in fam.supports)
+        assert verify_family(fam, params.S_M).ok, (primes, p, k)
 
 
 def test_certified_family_gate():
@@ -106,20 +125,31 @@ def test_index_bounds():
 
 
 def test_family_json_round_trip(params_b):
-    fam = search_family(params_b, h=4, n_goal=4, seed=1, budget=4000)
-    data = family_to_json(fam)
-    loaded = family_from_json(data)
-    assert loaded.U == fam.U and loaded.V == fam.V
-    assert family_to_json(loaded) == data
+    for k in range(1, 5):
+        for fam in (product_family(params_b, h=3 * k),
+                    trivial_family(params_b.M, 3 * k)):
+            data = family_to_json(fam)
+            loaded = family_from_json(params_b, data)
+            assert loaded.U == fam.U and loaded.V == fam.V and loaded.certified
+            assert family_to_json(loaded) == data
 
 
-def test_family_json_rejects_inconsistency():
-    fam = trivial_family(30, 2)
-    import json
-    obj = json.loads(family_to_json(fam))
+def test_both_families_at_h_equal_n_load_back():
+    """With two primes in M, h = N = 4 is both the basis family and the
+    product family at k = 2; each file loads back to itself."""
+    params = build_params((2,), 257)
+    basis, product = trivial_family(params.M, 4), product_family(params, 4)
+    assert basis.size == product.size == 4 and basis.U != product.U
+    for fam in (basis, product):
+        data = family_to_json(fam)
+        assert family_to_json(family_from_json(params, data)) == data
+
+
+def test_family_json_rejects_inconsistency(params_b):
+    obj = json.loads(family_to_json(trivial_family(params_b.M, 2)))
     obj["N"] = 3
     with pytest.raises(ParameterError):
-        family_from_json((json.dumps(obj) + "\n").encode())
+        family_from_json(params_b, (json.dumps(obj) + "\n").encode())
 
 
 def test_dot_mod_is_exact_for_large_entries():
@@ -155,7 +185,7 @@ def _with_entry(rows, r, c, value):
 
 
 def _reference_cases(params_b):
-    """(family, S_M): the broken families of the tests, searched and
+    """Families over Z_30: the broken families of the tests, product and
     scaled families, and random families with sparse rows."""
     fam3, fam8 = trivial_family(30, 3), trivial_family(30, 8)
     cases = [
@@ -169,9 +199,7 @@ def _reference_cases(params_b):
         MatchingFamily(30, 8, _with_entry(fam8.U, 7, 7, 30), fam8.V),
         MatchingFamily(30, 8, _with_entry(fam8.U, 5, 2, -29), fam8.V),
     ]
-    cases += [search_family(params_b, h=4, n_goal=5, seed=seed, budget=4000)
-              for seed in range(4)]
-    cases.append(search_family(params_b, h=4, n_goal=6, seed=7, budget=20000))
+    cases += [product_family(params_b, h=3 * k) for k in range(1, 5)]
     cases += [MatchingFamily(30, 8, tuple(tuple(c * e for e in u)
                                           for u in fam8.U), fam8.V)
               for c in (1, 6, 25, 30, 2)]

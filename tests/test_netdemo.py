@@ -9,6 +9,7 @@ from itdpf import protocol, server as server_mod
 from itdpf.client import QueryError, run_query
 from itdpf.dpf import PointFunction, keygen, serialize_key
 from itdpf.errors import ParameterError
+from itdpf.matching import product_family
 from itdpf.oracles import check_distribution_equality
 from itdpf.server import EvalServer, load_database
 
@@ -126,6 +127,26 @@ def test_pir_round_retrieves_db_entry(fleet, params_b, scheme_b, family_b8):
                            alpha=alpha, beta=1, seed=alpha, pir=True)
         assert result.value == db[alpha - 1]
         assert result.db_digest is not None
+
+
+def test_pir_round_over_product_family(params_a, scheme_a):
+    """The binary fixture's product family at h = 12 (N = 64)."""
+    family = product_family(params_a, h=12)
+    rng = random.Random(3)
+    db = [rng.randrange(2) for _ in range(family.size)]
+    servers = [EvalServer(i, params_a, family, scheme_a, db)
+               for i in range(2 * scheme_a.n)]
+    for server in servers:
+        server.start_background()
+    try:
+        for alpha in (1, 2, 22, 43, 64):
+            result = run_query(_addresses(servers), params_a, family,
+                               scheme_a, alpha=alpha, beta=1, seed=alpha,
+                               pir=True)
+            assert result.value == db[alpha - 1]
+    finally:
+        for server in servers:
+            server.shutdown()
 
 
 def test_repeated_queries_reuse_servers(fleet, params_b, scheme_b, family_b8):

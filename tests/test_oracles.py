@@ -5,7 +5,7 @@ import pytest
 from itdpf.dpf import PointFunction
 from itdpf.errors import FamilyViolationError
 from itdpf.interpolation import InterpolationScheme
-from itdpf.matching import MatchingFamily, trivial_family
+from itdpf.matching import MatchingFamily, product_family, trivial_family
 from itdpf.oracles import (check_distribution_equality,
                            derivative_consistency_check, key_size_sweep,
                            measure_key_size, reconstruction_identity_check,
@@ -114,18 +114,23 @@ def test_derivative_consistency_with_unit_blind(params_a, scheme_a, family_a16):
         assert report.ok
 
 
-def test_oracles_over_searched_family(params_b, scheme_b):
-    # Non-basis vectors: both oracle paths must still agree exactly.
-    from itdpf.matching import search_family
-    fam = search_family(params_b, h=4, n_goal=6, seed=7, budget=20000)
+def test_oracles_over_product_family(params_a, scheme_a, params_b, scheme_b):
+    # Non-basis vectors: both oracle paths must still agree exactly, on
+    # every (alpha, x) up to N = 27 and on a sample of the 4096 at N = 64.
     rng = random.Random(5)
-    for alpha in range(1, fam.size + 1):
-        for x in range(1, fam.size + 1):
-            blind = _random_blind(params_b, 4, rng)
-            assert derivative_consistency_check(
-                params_b, fam, scheme_b, alpha, x, blind).ok
-            assert reconstruction_identity_check(
-                params_b, fam, scheme_b, alpha, x, blind).ok
+    for params, scheme in ((params_a, scheme_a), (params_b, scheme_b)):
+        for k in range(1, 5):
+            fam = product_family(params, h=3 * k)
+            pairs = [(alpha, x) for alpha in range(1, fam.size + 1)
+                     for x in range(1, fam.size + 1)]
+            if k == 4:
+                pairs = rng.sample(pairs, 256)
+            for alpha, x in pairs:
+                blind = _random_blind(params, fam.h, rng)
+                assert derivative_consistency_check(
+                    params, fam, scheme, alpha, x, blind).ok
+                assert reconstruction_identity_check(
+                    params, fam, scheme, alpha, x, blind).ok
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +204,21 @@ def test_share_multisets_identical_as_wire_bytes(params_b, scheme_b, family_b2):
     report = check_distribution_equality(params_b, family_b2, scheme_b,
                                          f0, f1, 0, as_bytes=True)
     assert report.ok
+
+
+def test_share_multisets_identical_over_product_family(params_b, scheme_b):
+    """Exact 1-privacy on the smallest product family with more than one
+    point: h = 6, N = 8, m^h = 46,656 blinds per slot.  alpha = 1 and
+    alpha = 8 differ in every digit, so v_alpha differs in every block."""
+    family = product_family(params_b, h=6)
+    f0 = PointFunction(8, 5, 1, 1)
+    f1 = PointFunction(8, 5, 8, 3)
+    assert all(a != b for a, b in zip(family.v(1), family.v(8)))
+    for slot in range(scheme_b.n):
+        report = check_distribution_equality(params_b, family, scheme_b,
+                                             f0, f1, slot)
+        assert not report.skipped
+        assert report.ok, report.failures
 
 
 def test_equal_functions_trivially_equal(params_b, scheme_b, family_b2):
