@@ -4,15 +4,17 @@ Every stage persists canonical JSON so stages are independently
 testable and cacheable; each command prints human-readable progress and
 ends stdout with a single machine-parsable JSON line.
 
-Exit codes: 0 success, 1 failed verification checks, 2 usage/parameter
-errors, 3 internal impossibility (a guaranteed-solvable system failed),
-4 artifact mismatch (digest disagreement).
+Exit codes: 0 success, 1 failed verification checks (or a stdout that
+the reader closed early), 2 usage/parameter errors, 3 internal
+impossibility (a guaranteed-solvable system failed), 4 artifact mismatch
+(digest disagreement).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -476,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()    # a closed stdout raises here, not at exit
+        return code
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -488,6 +492,11 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     except client_mod.QueryError as exc:
         print(f"query failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point it at devnull, so the
+        # interpreter's final flush cannot raise again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CHECK_FAILED
 
 

@@ -18,6 +18,15 @@ scaled gradient) whose vector form lives in the oracles as the
 reference.  Summing all 2n outputs mod p reconstructs the function
 value; any single key is distributed independently of the function.
 
+A PIR server needs only the Z_p-linear functional sum_x db_x * f_i(x),
+so `pir_answer` contracts the db against the family's supports without
+building the N shares: constant_term is Z_p-linear, and on encodings
+ct(y) = enc(y) mod p, since enc = sum_j c_j p^j.  Each term is then one
+log addition, one exp lookup and one reduction mod p.  `evaluate_key`
+and `evaluate_all` stay as the reference that fulleval, verify and the
+oracles use.  The key codec maps each element to its packed coefficient
+bytes through the field's byte tables, and back through their inverse.
+
 Randomness contract: key generation consumes the injected rng in a
 fixed documented order (blind vector first, one subgroup index per
 coordinate; then the first mask, tau residues per coordinate), so a
@@ -178,6 +187,59 @@ def evaluate_all(params: DpfParams, family: MatchingFamily,
             for x in range(1, family.size + 1)]
 
 
+def pir_answer(params: DpfParams, family: MatchingFamily,
+               scheme: InterpolationScheme, key: DpfKey,
+               db: list[int]) -> int:
+    """One server's PIR answer, sum_x db_x * evaluate_key(x) mod p, as one
+    contraction over the family's supports.
+
+    With w = a0 * mask and v_x = H[sum_i u_i * log(c_i) mod m], the
+    answer is sum_x db_x * [ct(w_0 * v_x) - sum_{(i,u) in supp(x)}
+    (u mod p) * ct(w_{i+1} * v_x)] mod p, because ct is Z_p-linear and
+    db_x, u mod p lie in Z_p.  With the field's tables a term is
+    exp[log(w_j) + log(v_x)] mod p, where log(v_x) is that exponent times
+    log(H[1]); above TABLE_LIMIT it is a Field product.  A zero db entry
+    or mask entry contributes nothing.  The key must pass check_key.
+    """
+    fld, p, m, H = params.field, params.p, params.m, params.H
+    H_log = params.H_log
+    share_logs = [H_log[c.enc] for c in key.share[:family.h]]
+    a0 = scheme.coeffs[key.index % scheme.n][0]
+    tables = fld.log_exp
+    if tables is None:
+        scaled = [a0 * w for w in key.mask]
+        handles = [w if w.enc else None for w in scaled]
+
+        def term(w, e):
+            return (w * H[e]).constant_term
+    else:
+        # Each w_j as its log: log(a0) + log(mask_j), None for w_j = 0.
+        log, exp = tables
+        q1 = fld.group_order
+        step, log_a0 = log[H[1 % m].enc], log[a0.enc]
+        handles = [(log_a0 + log[w.enc]) % q1 if w.enc and a0.enc else None
+                   for w in key.mask]
+
+        def term(w, e):
+            return exp[(w + e * step) % q1] % p
+    w0 = handles[0]
+    total = 0
+    for d, support in zip(db, family.supports):
+        if not d:
+            continue
+        e = 0
+        for i, u in support:
+            e += u * share_logs[i]
+        e %= m
+        acc = 0 if w0 is None else term(w0, e)
+        for i, u in support:
+            w = handles[i + 1]
+            if u % p and w is not None:
+                acc -= u % p * term(w, e)
+        total += d * acc
+    return total % p
+
+
 def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
               key: DpfKey) -> None:
     """Reject a key that evaluate_key cannot serve: wrong vector length
@@ -218,16 +280,29 @@ def _coeff_format(p: int, count: int) -> str:
     return f"<{count}{'B' if coeff_width(p) == 1 else 'H'}"
 
 
-def _pack_elements(params: DpfParams, elems) -> bytes:
-    coeffs = [c for e in elems for c in e.coeffs]
-    return struct.pack(_coeff_format(params.p, len(coeffs)), *coeffs)
+def _out_of_range(data: bytes, p: int, start: int) -> KeyParseError:
+    """The error for the first coefficient >= p at or after byte `start`
+    of a key, reported at its byte offset."""
+    width = coeff_width(p)
+    for offset in range(start, len(data), width):
+        c = int.from_bytes(data[offset:offset + width], "little")
+        if c >= p:
+            return KeyParseError(f"coefficient {c} out of range", offset)
+    raise AssertionError("no coefficient >= p after the start")
 
 
 def serialize_key(params: DpfParams, key: DpfKey) -> bytes:
     """Binary form: magic, version, 2-byte index, then the mask and share
     vectors as packed little-endian coefficient arrays."""
-    return (KEY_MAGIC + bytes([KEY_VERSION]) + key.index.to_bytes(2, "big")
-            + _pack_elements(params, key.mask + key.share))
+    header = KEY_MAGIC + bytes([KEY_VERSION]) + key.index.to_bytes(2, "big")
+    elems = key.mask + key.share
+    codec = params.field.byte_codec(coeff_width(params.p))
+    if codec is None:
+        coeffs = [c for e in elems for c in e.coeffs]
+        return header + struct.pack(_coeff_format(params.p, len(coeffs)),
+                                    *coeffs)
+    pack = codec[0]
+    return header + b"".join([pack[e.enc] for e in elems])
 
 
 def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
@@ -242,21 +317,29 @@ def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
 
     p, tau = params.p, params.tau
     width = coeff_width(p)
+    size = tau * width
     body = len(data) - KEY_HEADER_LEN
-    if body % (2 * tau * width) != 0:
+    if body % (2 * size) != 0:
         raise KeyParseError("key body length is not element-aligned", len(data))
-    per_vector = body // (2 * tau * width)
+    per_vector = body // (2 * size)
     if per_vector < 2:
         raise KeyParseError("key body too short for any share vector", len(data))
 
-    coeffs = struct.unpack_from(_coeff_format(p, body // width), data,
-                                KEY_HEADER_LEN)
-    if max(coeffs) >= p:
-        k = next(k for k, c in enumerate(coeffs) if c >= p)
-        raise KeyParseError(f"coefficient {coeffs[k]} out of range",
-                            KEY_HEADER_LEN + k * width)
     fld = params.field
-    encs = [fld.encode(coeffs[k:k + tau]) for k in range(0, len(coeffs), tau)]
+    codec = fld.byte_codec(width)
+    if codec is None:
+        coeffs = struct.unpack_from(_coeff_format(p, body // width), data,
+                                    KEY_HEADER_LEN)
+        if max(coeffs) >= p:
+            raise _out_of_range(data, p, KEY_HEADER_LEN)
+        encs = [fld.encode(coeffs[k:k + tau])
+                for k in range(0, len(coeffs), tau)]
+    else:
+        unpack = codec[1]
+        starts = range(KEY_HEADER_LEN, len(data), size)
+        encs = [unpack.get(data[k:k + size]) for k in starts]
+        if None in encs:    # a slice holding a coefficient >= p
+            raise _out_of_range(data, p, starts[encs.index(None)])
     elems = tuple(map(fld.decode, encs))
     if not 0 <= index < 2 * n:
         raise ParameterError(f"key index {index} outside [0, {2 * n})")

@@ -5,7 +5,10 @@ smallest monic irreducible zeta(X), stored constant term first.  For
 small fields (order <= 2**16) the constructor builds discrete-log tables
 over a fixed smallest generator, giving O(1) multiplication, inversion
 and powering; all elements are then interned so arithmetic allocates
-nothing.
+nothing.  The serving path reads those tables on integer encodings
+(`log_exp`) and packs keys through per-field byte tables (`byte_codec`);
+above the limit both return None and callers fall back to FieldElement
+arithmetic and struct packing.
 
 The additive output map used by the point-function scheme is
 ``constant_term``: it projects a field element onto its constant
@@ -252,6 +255,7 @@ class Field:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._generator_enc: int | None = None
+        self._codecs: dict[int, tuple[list[bytes], dict[bytes, int]]] = {}
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         self.zero = self.decode(0)
@@ -356,6 +360,32 @@ class Field:
                 v //= self.p
             elems.append(FieldElement(self, tuple(coeffs), enc))
         self._elems = elems
+
+    # -- integer access for the serving path ----------------------------------
+
+    @property
+    def log_exp(self) -> tuple[list[int], list[int]] | None:
+        """(log, exp) over encodings, or None above TABLE_LIMIT: exp[k]
+        encodes g^k and log[a] = k for a != 0 (g the tables' generator,
+        k in [0, group_order))."""
+        return None if self._log is None else (self._log, self._exp)
+
+    def byte_codec(self, width: int
+                   ) -> tuple[list[bytes], dict[bytes, int]] | None:
+        """(pack, unpack), or None above TABLE_LIMIT: pack[enc] is the
+        element's tau coefficients, constant term first, each `width`
+        bytes little-endian, and unpack maps those bytes back to enc.
+        Built on first use per width; two threads racing there build
+        equal tables, and either one is kept."""
+        if self._elems is None:
+            return None
+        codec = self._codecs.get(width)
+        if codec is None:
+            pack = [b"".join(c.to_bytes(width, "little") for c in e.coeffs)
+                    for e in self._elems]
+            codec = (pack, {b: enc for enc, b in enumerate(pack)})
+            self._codecs[width] = codec
+        return codec
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
-from .dpf import (PointFunction, keygen, make_shares, serialize_key,
-                  key_byte_length, KEY_HEADER_LEN, _pack_elements)
+from .dpf import (DpfKey, PointFunction, keygen, make_shares, serialize_key,
+                  key_byte_length, KEY_HEADER_LEN)
 from .errors import FamilyViolationError
 from .field import FieldElement
 from .interpolation import InterpolationScheme
@@ -265,9 +265,10 @@ def check_distribution_equality(params: DpfParams, family: MatchingFamily,
             share = make_shares(params, family, scheme, func.alpha,
                                 list(blind))[slot]
             if as_bytes:
-                # The wire serializer's packer: exactly the share bytes a
-                # server receives in its key upload.
-                out.append(_pack_elements(params, share))
+                # The wire serializer's body for a key without a mask:
+                # exactly the share bytes a server receives in its upload.
+                out.append(serialize_key(params, DpfKey(0, (), share))
+                           [KEY_HEADER_LEN:])
             else:
                 out.append(tuple(e.enc for e in share))
         out.sort()

@@ -14,6 +14,10 @@ queries.  Evaluation is pure, hence concurrent connections need no
 further coordination.  At most MAX_CONNECTIONS connections are served
 at once, and one that stays silent for IDLE_TIMEOUT_S is closed, so
 idle clients cannot hold every handler slot.
+
+A PIR request is answered by dpf.pir_answer: one contraction of the
+database against the family's supports on integer encodings, using
+ct(y) = enc(y) mod p, with no full-domain evaluate_all.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import socket
 import threading
 
 from . import protocol
-from .dpf import (DpfKey, check_key, deserialize_key, evaluate_all,
-                  evaluate_key)
+from .dpf import (DpfKey, check_key, deserialize_key, evaluate_key,
+                  pir_answer)
 from .errors import KeyParseError, ParameterError
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
@@ -189,8 +193,8 @@ class EvalServer:
         if self.db is None:
             return protocol.error_message(protocol.ERR_BAD_REQUEST,
                                           "server has no database loaded")
-        mask = evaluate_all(self.params, self.family, self.scheme, key)
-        total = sum(m * d for m, d in zip(mask, self.db)) % self.params.p
+        total = pir_answer(self.params, self.family, self.scheme, key,
+                           self.db)
         return protocol.pack(protocol.PIR_RESP,
                              total.to_bytes(2, "big") + self.db_digest)
 

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import itdpf
 from itdpf.cli import main
 
 
@@ -328,3 +333,22 @@ def test_every_command_emits_json_line(binary_pipeline, capsys):
     assert main(["bench", "--params", binary_pipeline["params"],
                  "--scheme", binary_pipeline["scheme"]]) == 0
     _last_json(capsys)  # raises if the last line is not JSON
+
+
+def test_closed_stdout_exits_quietly(binary_pipeline):
+    """`| head -c` closes stdout long before a 1 MB family file is out:
+    the command exits 1 with nothing on stderr, not a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(itdpf.__file__).parents[1])}
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "itdpf", "family",
+         "--params", binary_pipeline["params"], "--h", "512",
+         "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.run(["head", "-c", "10"], stdin=writer.stdout,
+                          capture_output=True, timeout=30)
+    writer.stdout.close()
+    stderr = writer.stderr.read().decode()
+    writer.stderr.close()
+    assert writer.wait(timeout=30) == 1
+    assert head.stdout == b'{"M":1022,'
+    assert "Traceback" not in stderr and stderr == ""

@@ -3,23 +3,28 @@
 A server parses a key, checks it and evaluates it without a single
 Field.pow: share entries are looked up in the log index of H, the
 monomial is read from H by its log, and evaluation walks the support of
-u_x, never the dense row.  The key codec packs and unpacks all
-coefficients with one struct call per key, at coefficient width 1 and 2,
-and a coefficient >= p is refused at the byte offset 7 + k*width.
+u_x, never the dense row.  A PIR request is answered by pir_answer
+alone, never by evaluate_key or evaluate_all.  The key codec maps
+elements to packed coefficient bytes through the field's byte tables,
+byte-identical to a struct packing at coefficient width 1 and 2, and a
+coefficient >= p is refused at the byte offset 7 + k*width by the table
+codec and by the struct codec that fields above TABLE_LIMIT use.
 """
 
 import random
+import struct
 from unittest import mock
 
 import pytest
 
-from itdpf.dpf import (KEY_HEADER_LEN, PointFunction, check_key, coeff_width,
-                       deserialize_key, evaluate_all, evaluate_key, keygen,
-                       serialize_key)
+from itdpf import dpf, protocol, server
+from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, PointFunction,
+                       check_key, coeff_width, deserialize_key, evaluate_all,
+                       evaluate_key, keygen, serialize_key)
 from itdpf.errors import KeyParseError
 from itdpf.field import Field
 from itdpf.interpolation import build_scheme
-from itdpf.matching import MatchingFamily, trivial_family
+from itdpf.matching import MatchingFamily, product_family, trivial_family
 from itdpf.oracles import convert_share
 from itdpf.params import build_params
 
@@ -105,6 +110,71 @@ def test_width_two_round_trip_and_evaluation(wide):
             beta if x == alpha else 0 for x in range(1, 7)]
 
 
+def _fixture(request, wide, fixture):
+    if fixture == "wide":
+        return wide
+    return (request.getfixturevalue(f"params_{fixture}"),
+            request.getfixturevalue(f"scheme_{fixture}"))
+
+
+def _without_byte_tables():
+    """The struct codec that fields above TABLE_LIMIT use."""
+    return mock.patch.object(Field, "byte_codec", lambda self, width: None)
+
+
+@pytest.mark.parametrize("fixture", ["a", "b", "wide"])
+def test_pir_request_is_one_contraction(request, wide, fixture):
+    params, scheme = _fixture(request, wide, fixture)
+    for family in (trivial_family(params.M, 6), product_family(params, 6)):
+        rng = random.Random(4)
+        db = [rng.randrange(params.p) for _ in range(family.size)]
+        key = keygen(params, family, scheme,
+                     PointFunction(family.size, params.p, 2, 1), rng)[0]
+        expected = sum(y * d for y, d in zip(
+            evaluate_all(params, family, scheme, key), db)) % params.p
+
+        srv = server.EvalServer(key.index, params, family, scheme, db)
+        try:
+            assert srv._handle_upload(
+                serialize_key(params, key)) == protocol.pack(
+                    protocol.KEY_UPLOAD)
+            family.supports
+            object.__setattr__(family, "U", _DenseRowsUnread(family.U))
+            with mock.patch.object(Field, "pow", _forbidden("Field.pow")), \
+                    mock.patch.object(dpf, "evaluate_key",
+                                      _forbidden("evaluate_key")), \
+                    mock.patch.object(dpf, "evaluate_all",
+                                      _forbidden("evaluate_all")), \
+                    mock.patch.object(server, "evaluate_key",
+                                      _forbidden("evaluate_key")):
+                reply = srv._handle_pir()
+        finally:
+            srv.shutdown()
+        assert reply == protocol.pack(
+            protocol.PIR_RESP, expected.to_bytes(2, "big") + b"\x00" * 32)
+
+
+@pytest.mark.parametrize("fixture", ["a", "b", "wide"])
+def test_table_codec_matches_struct_packing(request, wide, fixture):
+    params, scheme = _fixture(request, wide, fixture)
+    assert params.field.byte_codec(coeff_width(params.p)) is not None
+    fmt = "B" if coeff_width(params.p) == 1 else "H"
+    family = trivial_family(params.M, 5)
+    for seed in range(3):
+        for key in keygen(params, family, scheme,
+                          PointFunction(5, params.p, 4, 1),
+                          random.Random(seed)):
+            coeffs = [c for e in key.mask + key.share for c in e.coeffs]
+            packed = (KEY_MAGIC + bytes([KEY_VERSION])
+                      + key.index.to_bytes(2, "big")
+                      + struct.pack(f"<{len(coeffs)}{fmt}", *coeffs))
+            assert serialize_key(params, key) == packed
+            assert deserialize_key(params, scheme.n, packed) == key
+            with _without_byte_tables():
+                assert serialize_key(params, key) == packed
+                assert deserialize_key(params, scheme.n, packed) == key
+
+
 def _codec_cases():
     """(fixture, vector, element, coefficient) for the first, a middle
     and the last element of the mask and of the share."""
@@ -119,11 +189,19 @@ def _codec_cases():
                          list(_codec_cases()))
 def test_out_of_range_coefficient_offset(request, wide, fixture, vector,
                                          element, coeff):
-    if fixture == "wide":
-        params, scheme = wide
-    else:
-        params = request.getfixturevalue(f"params_{fixture}")
-        scheme = request.getfixturevalue(f"scheme_{fixture}")
+    _check_offset(*_fixture(request, wide, fixture), vector, element, coeff)
+
+
+@pytest.mark.parametrize("fixture, vector, element, coeff",
+                         list(_codec_cases()))
+def test_out_of_range_coefficient_offset_struct_codec(request, wide, fixture,
+                                                      vector, element, coeff):
+    params, scheme = _fixture(request, wide, fixture)
+    with _without_byte_tables():
+        _check_offset(params, scheme, vector, element, coeff)
+
+
+def _check_offset(params, scheme, vector, element, coeff):
     h = 4
     family = trivial_family(params.M, h)
     key = keygen(params, family, scheme, PointFunction(h, params.p, 2, 1),

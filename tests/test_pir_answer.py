@@ -1,0 +1,169 @@
+"""The PIR answer as one contraction equals the full-domain reference.
+
+pir_answer(key, db) must be sum_x db_x * evaluate_all(key)_x mod p for
+every key: on F_512 and F_25, over the basis and the product family, for
+db entries beyond 0 and 1, for an all-zero db, for keys with zero mask
+entries (forced to zero, since a uniform entry is zero only 1/|F| of
+the time) or a zero recovery coefficient, for rows whose entries are
+beyond 0 and 1 mod p (the identity holds for any rows, and every family
+built here has u mod p in {0, 1}), and on F_{11^6}, which is above TABLE_LIMIT and so must answer
+through Field products without building any full-field table.
+"""
+
+import random
+from contextlib import contextmanager
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+
+from itdpf.dpf import (DpfKey, PointFunction, check_key, deserialize_key,
+                       evaluate_all, keygen, pir_answer, serialize_key)
+from itdpf.field import TABLE_LIMIT, Field
+from itdpf.interpolation import build_scheme
+from itdpf.matching import MatchingFamily, product_family, trivial_family
+from itdpf.params import build_params
+
+SEEDS = range(5)
+
+
+def _reference(params, family, scheme, key, db):
+    shares = evaluate_all(params, family, scheme, key)
+    return sum(s * d for s, d in zip(shares, db)) % params.p
+
+
+def _databases(p, size, seed):
+    """A random db, an all-zero one, and one of p - 1 (beyond 0 and 1
+    whenever p > 2)."""
+    rng = random.Random(f"db/{seed}")
+    return ([rng.randrange(p) for _ in range(size)], [0] * size,
+            [p - 1] * size)
+
+
+def _check_every_key(params, scheme, family, seeds=SEEDS):
+    for seed in seeds:
+        rng = random.Random(seed)
+        func = PointFunction(family.size, params.p,
+                             rng.randrange(family.size) + 1,
+                             rng.randrange(params.p))
+        keys = keygen(params, family, scheme, func, rng)
+        for db in _databases(params.p, family.size, seed):
+            for key in keys:
+                assert pir_answer(params, family, scheme, key, db) == (
+                    _reference(params, family, scheme, key, db))
+            assert sum(pir_answer(params, family, scheme, key, db)
+                       for key in keys) % params.p == (
+                db[func.alpha - 1] * func.beta % params.p)
+
+
+def _families(params, basis_h):
+    return [trivial_family(params.M, basis_h),
+            product_family(params, 6), product_family(params, 12)]
+
+
+@pytest.mark.parametrize("fixture, basis_h", [("a", 16), ("b", 8)])
+def test_answer_equals_full_domain_reference(request, fixture, basis_h):
+    params = request.getfixturevalue(f"params_{fixture}")
+    scheme = request.getfixturevalue(f"scheme_{fixture}")
+    for family in _families(params, basis_h):
+        _check_every_key(params, scheme, family)
+
+
+@pytest.mark.parametrize("fixture", ["a", "b"])
+def test_zero_mask_entries_contribute_nothing(request, fixture):
+    params = request.getfixturevalue(f"params_{fixture}")
+    scheme = request.getfixturevalue(f"scheme_{fixture}")
+    fld = params.field
+    for family in _families(params, 8):
+        keys = keygen(params, family, scheme,
+                      PointFunction(family.size, params.p, 2, 1),
+                      random.Random(3))
+        db = _databases(params.p, family.size, 3)[0]
+        for key in keys:
+            for zeroed in ({0}, {1, family.h}, set(range(family.h + 1))):
+                mask = tuple(fld.zero if j in zeroed else w
+                             for j, w in enumerate(key.mask))
+                holed = DpfKey(key.index, mask, key.share)
+                check_key(params, scheme, family.h, holed)
+                assert pir_answer(params, family, scheme, holed, db) == (
+                    _reference(params, family, scheme, holed, db))
+
+
+@pytest.mark.parametrize("fixture", ["a", "b"])
+def test_zero_recovery_coefficient_contributes_nothing(request, fixture):
+    params = request.getfixturevalue(f"params_{fixture}")
+    scheme = request.getfixturevalue(f"scheme_{fixture}")
+    zeroed = replace(scheme, coeffs=tuple(
+        (params.field.zero, a1) for _, a1 in scheme.coeffs))
+    family = trivial_family(params.M, 8)
+    keys = keygen(params, family, scheme, PointFunction(8, params.p, 2, 1),
+                  random.Random(6))
+    for db in _databases(params.p, 8, 6):
+        for key in keys:
+            assert pir_answer(params, family, zeroed, key, db) == 0 == (
+                _reference(params, family, zeroed, key, db))
+
+
+@pytest.mark.parametrize("fixture", ["a", "b"])
+def test_rows_beyond_zero_and_one_mod_p(request, fixture):
+    """Dense random rows of Z_M: not a matching family, so the answers do
+    not reconstruct a point function, but each must still equal the
+    reference, with u mod p weighting its mask entry."""
+    params = request.getfixturevalue(f"params_{fixture}")
+    scheme = request.getfixturevalue(f"scheme_{fixture}")
+    rng = random.Random(7)
+    h, size = 5, 12
+    rows = tuple(tuple(rng.randrange(params.M) for _ in range(h))
+                 for _ in range(size))
+    family = MatchingFamily(params.M, h, rows, rows, certified=True)
+    assert {u % params.p for row in rows for u in row} == set(range(params.p))
+    keys = keygen(params, family, scheme,
+                  PointFunction(size, params.p, 3, 1), rng)
+    for db in _databases(params.p, size, 7):
+        for key in keys:
+            assert pir_answer(params, family, scheme, key, db) == (
+                _reference(params, family, scheme, key, db))
+
+
+@contextmanager
+def table_guard():
+    """Fail if a field above TABLE_LIMIT builds its log tables or a byte
+    codec inside the block."""
+    build, codec = Field._build_tables, Field.byte_codec
+
+    def guarded_build(self):
+        assert self.order <= TABLE_LIMIT, f"tables of order {self.order}"
+        build(self)
+
+    def guarded_codec(self, width):
+        tables = codec(self, width)
+        assert tables is None or self.order <= TABLE_LIMIT, (
+            f"byte codec of order {self.order}")
+        return tables
+
+    with mock.patch.object(Field, "_build_tables", guarded_build), \
+            mock.patch.object(Field, "byte_codec", guarded_codec):
+        yield
+
+
+@pytest.fixture(scope="module")
+def big_field():
+    """F_{11^6}: m = 21, above TABLE_LIMIT."""
+    with table_guard():
+        params = build_params((3, 7), 11)
+        scheme = build_scheme(params)
+    assert params.field.order > TABLE_LIMIT
+    return params, scheme
+
+
+def test_answer_above_table_limit_builds_no_table(big_field):
+    params, scheme = big_field
+    family = trivial_family(params.M, 4)
+    with table_guard():
+        assert params.field.log_exp is None
+        _check_every_key(params, scheme, family, seeds=range(2))
+        key = keygen(params, family, scheme, PointFunction(4, 11, 2, 7),
+                     random.Random(0))[0]
+        assert deserialize_key(params, scheme.n,
+                               serialize_key(params, key)) == key
+    assert params.field._codecs == {}
