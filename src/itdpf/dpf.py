@@ -30,7 +30,9 @@ bytes through the field's byte tables, and back through their inverse.
 Randomness contract: key generation consumes the injected rng in a
 fixed documented order (blind vector first, one subgroup index per
 coordinate; then the first mask, tau residues per coordinate), so a
-seeded rng reproduces keys exactly.
+seeded rng reproduces keys exactly.  Both are drawn in bulk from the
+same stream (field.draw_below): the values and the rng state afterwards
+are those of one rng.randrange call per residue.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import ArtifactMismatchError, KeyParseError, ParameterError
-from .field import FieldElement
+from .field import FieldElement, draw_below
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
@@ -129,7 +131,7 @@ def keygen(params: DpfParams, family: MatchingFamily,
     m = params.m
     h = family.h
 
-    blind_logs = [rng.randrange(m) for _ in range(h)]
+    blind_logs = draw_below(rng, m, h)
     blind = [params.H[k] for k in blind_logs]
     shares = make_shares(params, family, scheme, func.alpha, blind)
 
@@ -141,7 +143,7 @@ def keygen(params: DpfParams, family: MatchingFamily,
     target = [scaled] + [scaled * fld.const(v_alpha[i] % params.p)
                          for i in range(h)]
 
-    mask0 = tuple(fld.random_element(rng) for _ in range(h + 1))
+    mask0 = tuple(fld.random_elements(rng, h + 1))
     mask1 = tuple(t - o for t, o in zip(target, mask0))
 
     n = scheme.n

@@ -17,8 +17,10 @@ coefficient, a surjective homomorphism onto Z_p.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import struct
 
 from .errors import ParameterError
 
@@ -56,6 +58,41 @@ def factorize(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+@functools.cache
+def _top_byte_tables(n: int) -> tuple[bytes, bytes]:
+    """bytes.translate arguments that map a word's top byte to its top
+    n.bit_length() bits and delete the bytes whose value is >= n."""
+    shift = 8 - n.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(range(n << shift, 256)))
+
+
+def draw_below(rng, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)], drawn in bulk: the same
+    values, and rng is left in the same state.
+
+    randrange(n) takes the top k = n.bit_length() bits of one 32-bit
+    word and redraws while the value is >= n.  getrandbits(32 * r)
+    returns the next r words, least significant first, so each round
+    draws one word per residue still needed and never reads past where
+    the one-at-a-time loop would stop.  For k <= 8 the top byte of each
+    word is shifted and filtered by one bytes.translate."""
+    k = n.bit_length()
+    if k > 32:
+        return [rng.randrange(n) for _ in range(count)]
+    out: list[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        if k <= 8:
+            out += words[3::4].translate(*_top_byte_tables(n))
+        else:
+            shift = 32 - k
+            out += [r for w in struct.unpack(f"<{need}I", words)
+                    if (r := w >> shift) < n]
     return out
 
 
@@ -497,8 +534,17 @@ class Field:
         return order
 
     def random_element(self, rng) -> FieldElement:
-        """Uniform element; draws tau residues mod p in coefficient order."""
-        return self.decode(self.encode([rng.randrange(self.p) for _ in range(self.tau)]))
+        """One uniform element, as random_elements(rng, 1) draws it;
+        kept for bench/sweep.py."""
+        return self.random_elements(rng, 1)[0]
+
+    def random_elements(self, rng, count: int) -> list[FieldElement]:
+        """`count` uniform elements; draws tau residues mod p per element,
+        in coefficient order, through draw_below."""
+        tau = self.tau
+        residues = draw_below(rng, self.p, count * tau)
+        return [self.decode(self.encode(residues[k:k + tau]))
+                for k in range(0, len(residues), tau)]
 
     def __repr__(self):
         return f"Field(p={self.p}, tau={self.tau}, zeta={list(self.zeta)})"

@@ -170,7 +170,8 @@ def verify_scheme(
     rng = random.Random(seed)
     random_failures = 0
     for _ in range(random_polynomials):
-        coeffs_by_s = {s: fld.random_element(rng) for s in params.S_M}
+        coeffs_by_s = dict(zip(params.S_M,
+                               fld.random_elements(rng, len(params.S_M))))
         recovered = fld.zero
         for (a0, a1), b in zip(scheme.coeffs, scheme.points):
             value = fld.zero

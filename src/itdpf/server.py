@@ -8,12 +8,20 @@ bytes it receives are one key plus public inputs.
 
 An upload is checked (dpf.check_key) before it is stored, so a
 malformed key is refused at upload instead of failing every later
-request.  The stored key slot is guarded by a lock; a later upload
-replaces it so one long-running server can serve many independent
-queries.  Evaluation is pure, hence concurrent connections need no
-further coordination.  At most MAX_CONNECTIONS connections are served
-at once, and one that stays silent for IDLE_TIMEOUT_S is closed, so
-idle clients cannot hold every handler slot.
+request.  The key lives with its connection: the handler holds it and
+passes it to each request, so a request is answered with the key
+uploaded on the same connection, never with another client's.  A later
+upload on that connection replaces it.  Evaluation is pure and nothing
+else is shared, so concurrent connections need no lock.  At most
+MAX_CONNECTIONS connections are served at once, and one that stays
+silent for IDLE_TIMEOUT_S is closed, so idle clients cannot hold every
+handler slot.
+
+Each connection gets a fresh handler thread, started with
+_thread.start_new_thread: threading.Thread.start() would block the
+accept loop until the new thread reports that it runs, which costs
+every connection extra thread switches.  An exception escaping a
+handler still reaches sys.unraisablehook.
 
 A PIR request is answered by dpf.pir_answer: one contraction of the
 database against the family's supports on integer encodings, using
@@ -22,6 +30,7 @@ ct(y) = enc(y) mod p, with no full-domain evaluate_all.
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import json
 import socket
@@ -66,7 +75,7 @@ def load_database(path: str, p: int) -> tuple[list[int], bytes]:
 
 
 class EvalServer:
-    """TCP server evaluating one key slot."""
+    """TCP server evaluating the key uploaded on each connection."""
 
     def __init__(self, index: int, params: DpfParams, family: MatchingFamily,
                  scheme: InterpolationScheme, db: list[int] | None = None,
@@ -84,8 +93,6 @@ class EvalServer:
         self.scheme = scheme
         self.db = db
         self.db_digest = db_digest
-        self._key: DpfKey | None = None
-        self._key_lock = threading.Lock()
         # Checked here: create_server leaks its socket on OverflowError.
         if not 0 <= port <= 65535:
             raise ParameterError(f"port {port} outside [0, 65535]")
@@ -112,9 +119,7 @@ class EvalServer:
             except OSError:
                 break
             self._conn_slots.acquire()
-            t = threading.Thread(target=self._serve_connection, args=(conn,),
-                                 daemon=True)
-            t.start()
+            _thread.start_new_thread(self._serve_connection, (conn,))
 
     def start_background(self) -> threading.Thread:
         t = threading.Thread(target=self.serve_forever, daemon=True)
@@ -131,50 +136,52 @@ class EvalServer:
     # -- request handling -----------------------------------------------------
 
     def _serve_connection(self, conn: socket.socket):
+        key = None      # this connection's key, until it uploads one
         try:
             with conn:
                 conn.settimeout(IDLE_TIMEOUT_S)
                 while True:
                     msg = protocol.recv_message(conn)
-                    protocol.send_message(conn, self._handle(msg))
+                    reply, key = self._handle(msg, key)
+                    protocol.send_message(conn, reply)
         except (ConnectionError, TimeoutError, protocol.WireError):
             pass    # the peer closed, went idle or broke the framing
         finally:
             self._conn_slots.release()
 
-    def _handle(self, msg: protocol.Message) -> bytes:
+    def _handle(self, msg: protocol.Message, key: DpfKey | None
+                ) -> tuple[bytes, DpfKey | None]:
+        """The reply to one request on a connection holding `key`, and
+        the key the connection holds after it."""
         try:
             if msg.type == protocol.KEY_UPLOAD:
-                return self._handle_upload(msg.payload)
+                return self._handle_upload(msg.payload, key)
             if msg.type == protocol.EVAL_REQ:
-                return self._handle_eval(msg.payload)
+                return self._handle_eval(msg.payload, key), key
             if msg.type == protocol.PIR_REQ:
-                return self._handle_pir()
+                return self._handle_pir(key), key
             # Unknown type: answer with an error, keep the connection open.
-            return protocol.error_message(
+            reply = protocol.error_message(
                 protocol.ERR_BAD_REQUEST, f"unknown message type {msg.type}")
         except (ParameterError, KeyParseError) as exc:
-            return protocol.error_message(protocol.ERR_BAD_REQUEST, str(exc))
+            reply = protocol.error_message(protocol.ERR_BAD_REQUEST, str(exc))
         except Exception as exc:  # never crash the connection loop
-            return protocol.error_message(protocol.ERR_INTERNAL, repr(exc))
+            reply = protocol.error_message(protocol.ERR_INTERNAL, repr(exc))
+        return reply, key
 
-    def _handle_upload(self, payload: bytes) -> bytes:
-        key = deserialize_key(self.params, self.scheme.n, payload)
-        if key.index != self.index:
+    def _handle_upload(self, payload: bytes, key: DpfKey | None
+                       ) -> tuple[bytes, DpfKey | None]:
+        """A refused upload keeps the connection's previous key."""
+        new = deserialize_key(self.params, self.scheme.n, payload)
+        if new.index != self.index:
             return protocol.error_message(
                 protocol.ERR_KEY_INDEX,
-                f"key index {key.index} does not match server {self.index}")
-        check_key(self.params, self.scheme, self.family.h, key)
-        with self._key_lock:
-            self._key = key
-        return protocol.pack(protocol.KEY_UPLOAD)  # bare ack
+                f"key index {new.index} does not match server {self.index}"
+            ), key
+        check_key(self.params, self.scheme, self.family.h, new)
+        return protocol.pack(protocol.KEY_UPLOAD), new  # bare ack
 
-    def _current_key(self) -> DpfKey | None:
-        with self._key_lock:
-            return self._key
-
-    def _handle_eval(self, payload: bytes) -> bytes:
-        key = self._current_key()
+    def _handle_eval(self, payload: bytes, key: DpfKey | None) -> bytes:
         if key is None:
             return protocol.error_message(protocol.ERR_NO_KEY,
                                           "no key uploaded yet")
@@ -185,8 +192,7 @@ class EvalServer:
         y = evaluate_key(self.params, self.family, self.scheme, key, x)
         return protocol.pack(protocol.EVAL_RESP, y.to_bytes(2, "big"))
 
-    def _handle_pir(self) -> bytes:
-        key = self._current_key()
+    def _handle_pir(self, key: DpfKey | None) -> bytes:
         if key is None:
             return protocol.error_message(protocol.ERR_NO_KEY,
                                           "no key uploaded yet")

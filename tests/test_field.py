@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import itdpf
 from itdpf.errors import ParameterError
-from itdpf.field import Field, find_irreducible, is_irreducible, is_prime
+from itdpf.field import (Field, draw_below, find_irreducible, is_irreducible,
+                         is_prime)
 
 F25 = Field(5, 2)          # zeta = X^2 + X + 1
 F5 = Field(5, 1)
@@ -112,8 +113,7 @@ def test_inverse_examples():
     assert F5.const(2).inverse() == F5.const(3)
     assert F25.one.inverse() == F25.one
     rng = random.Random(0)
-    for _ in range(100):
-        a = F25.random_element(rng)
+    for a in F25.random_elements(rng, 100):
         if a.is_zero():
             continue
         assert a * a.inverse() == F25.one
@@ -123,8 +123,7 @@ def test_inverse_examples():
 
 def test_pow_examples():
     rng = random.Random(1)
-    for _ in range(50):
-        a = F512.random_element(rng)
+    for a in F512.random_elements(rng, 50):
         if a.is_zero():
             continue
         assert a ** 0 == F512.one
@@ -154,9 +153,7 @@ def test_element_wrong_length_rejected():
 def test_field_axioms_bulk(field):
     rng = random.Random(7)
     for _ in range(5000):
-        a = field.random_element(rng)
-        b = field.random_element(rng)
-        c = field.random_element(rng)
+        a, b, c = field.random_elements(rng, 3)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert (a * b) * c == a * (b * c)
@@ -171,8 +168,7 @@ def test_field_axioms_bulk(field):
 def test_frobenius(field):
     rng = random.Random(11)
     for _ in range(200):
-        a = field.random_element(rng)
-        b = field.random_element(rng)
+        a, b = field.random_elements(rng, 2)
         assert (a + b) ** field.p == a ** field.p + b ** field.p
 
 
@@ -181,8 +177,7 @@ def test_table_path_matches_direct_path():
     for field in (F25, F512):
         rng = random.Random(3)
         for _ in range(300):
-            a = field.random_element(rng)
-            b = field.random_element(rng)
+            a, b = field.random_elements(rng, 2)
             direct = field.decode(field._mul_enc_direct(a.enc, b.enc))
             assert a * b == direct
 
@@ -200,8 +195,7 @@ def test_constant_term_examples():
 def test_constant_term_is_additive_and_surjective():
     rng = random.Random(5)
     for _ in range(500):
-        a = F512.random_element(rng)
-        b = F512.random_element(rng)
+        a, b = F512.random_elements(rng, 2)
         assert (a + b).constant_term == (a.constant_term + b.constant_term) % 2
     for c in range(5):
         assert F25.const(c).constant_term == c  # constant embedding witnesses
@@ -279,6 +273,29 @@ def test_parse_rejects_garbage():
         F25.parse_element("5,0")      # coefficient out of range
     with pytest.raises(ParameterError):
         F25.parse_element("a,b")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 255, 256, 257, 511,
+                               65521, 1048573])
+def test_draw_below_is_randrange_in_bulk(n):
+    """The same values as one randrange(n) call per draw, and the same
+    generator state afterwards, byte by byte of the key stream."""
+    for seed in range(3):
+        for count in (0, 1, 2, 1200):
+            one_by_one, bulk = random.Random(seed), random.Random(seed)
+            expected = [one_by_one.randrange(n) for _ in range(count)]
+            assert draw_below(bulk, n, count) == expected
+            assert bulk.getstate() == one_by_one.getstate()
+
+
+def test_random_elements_draw_coefficients_in_order():
+    for field in (F25, F512, F5):
+        rng, again = random.Random(4), random.Random(4)
+        elements = field.random_elements(rng, 40)
+        assert elements == [field.element([again.randrange(field.p)
+                                           for _ in range(field.tau)])
+                            for _ in range(40)]
+        assert rng.getstate() == again.getstate()
 
 
 def test_is_prime():

@@ -135,9 +135,10 @@ def test_pir_request_is_one_contraction(request, wide, fixture):
 
         srv = server.EvalServer(key.index, params, family, scheme, db)
         try:
-            assert srv._handle_upload(
-                serialize_key(params, key)) == protocol.pack(
-                    protocol.KEY_UPLOAD)
+            ack, stored = srv._handle(protocol.Message(
+                protocol.KEY_UPLOAD, serialize_key(params, key)), None)
+            assert ack == protocol.pack(protocol.KEY_UPLOAD)
+            assert stored == key
             family.supports
             object.__setattr__(family, "U", _DenseRowsUnread(family.U))
             with mock.patch.object(Field, "pow", _forbidden("Field.pow")), \
@@ -147,7 +148,7 @@ def test_pir_request_is_one_contraction(request, wide, fixture):
                                       _forbidden("evaluate_all")), \
                     mock.patch.object(server, "evaluate_key",
                                       _forbidden("evaluate_key")):
-                reply = srv._handle_pir()
+                reply = srv._handle_pir(stored)
         finally:
             srv.shutdown()
         assert reply == protocol.pack(

@@ -204,6 +204,7 @@ def test_recovery_map_is_linear(params_b, scheme_b):
     import random
     fld = params_b.field
     rng = random.Random(9)
+    size = len(params_b.S_M)
 
     def data_of(poly):
         rows = []
@@ -223,8 +224,8 @@ def test_recovery_map_is_linear(params_b, scheme_b):
         return out
 
     for _ in range(25):
-        r1 = {s: fld.random_element(rng) for s in params_b.S_M}
-        r2 = {s: fld.random_element(rng) for s in params_b.S_M}
+        r1 = dict(zip(params_b.S_M, fld.random_elements(rng, size)))
+        r2 = dict(zip(params_b.S_M, fld.random_elements(rng, size)))
         d1, d2 = data_of(r1), data_of(r2)
         joint = [(v1 + v2, w1 + w2) for (v1, w1), (v2, w2) in zip(d1, d2)]
         assert apply_map(joint) == apply_map(d1) + apply_map(d2)

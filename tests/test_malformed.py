@@ -268,12 +268,14 @@ def handler():
 @given(st.lists(st.builds(protocol.Message, st.integers(0, 255), payloads),
                 min_size=1, max_size=4))
 def test_handler_never_answers_internal(handler, messages):
-    """Any request, with or without a valid key stored, gets a reply
-    whose error code, if any, is a specific one."""
-    for msg in messages:
-        reply = handler._handle(msg)
-        if reply[5] == protocol.ERROR:
-            assert reply[10] != protocol.ERR_INTERNAL, reply
+    """Any request sequence, run once on a connection with no key and once
+    on one holding a valid key, gets replies whose error code, if any, is
+    a specific one."""
+    for key in (None, KEYS[SCHEME.n + 1]):
+        for msg in messages:
+            reply, key = handler._handle(msg, key)
+            if reply[5] == protocol.ERROR:
+                assert reply[10] != protocol.ERR_INTERNAL, reply
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from itdpf import protocol, server as server_mod
 from itdpf.client import QueryError, run_query
-from itdpf.dpf import PointFunction, keygen, serialize_key
+from itdpf.dpf import PointFunction, evaluate_key, keygen, serialize_key
 from itdpf.errors import ParameterError
 from itdpf.matching import product_family
 from itdpf.oracles import check_distribution_equality
@@ -80,6 +80,62 @@ def test_malformed_eval_payload(fleet, params_b, scheme_b, family_b8):
         reply = protocol.request(sock, protocol.EVAL_REQ, b"\x00")
         assert reply.type == protocol.ERROR
         assert reply.error_name() == "BAD_REQUEST"
+
+
+def test_key_is_bound_to_its_connection(fleet, params_b, scheme_b,
+                                        family_b8):
+    # Two clients share server 0: each request is answered with the key
+    # uploaded on its own connection, whatever the other uploaded since.
+    key_a, key_b = (keygen(params_b, family_b8, scheme_b,
+                           PointFunction(8, 5, alpha, beta),
+                           random.Random(seed))[0]
+                    for alpha, beta, seed in ((2, 1, 10), (7, 3, 11)))
+    expected = {key: [evaluate_key(params_b, family_b8, scheme_b, key, x)
+                      for x in range(1, 9)] for key in (key_a, key_b)}
+    assert expected[key_a] != expected[key_b]
+    servers, _ = fleet
+    address = ("127.0.0.1", servers[0].port)
+    with socket.create_connection(address) as first, \
+            socket.create_connection(address) as second:
+        for sock, key in ((first, key_a), (second, key_b)):
+            assert protocol.request(sock, protocol.KEY_UPLOAD,
+                                    serialize_key(params_b, key)
+                                    ).type == protocol.KEY_UPLOAD
+        for sock, key in ((first, key_a), (second, key_b)):
+            answers = [int.from_bytes(protocol.request(
+                sock, protocol.EVAL_REQ, x.to_bytes(4, "big")).payload, "big")
+                for x in range(1, 9)]
+            assert answers == expected[key]
+
+
+def test_handlers_release_their_slots(params_b, scheme_b, family_b8):
+    # Handler threads are not in threading.enumerate(), so a leak shows
+    # as a slot never given back.  The accept thread ends soon after
+    # shutdown().
+    servers = [EvalServer(i, params_b, family_b8, scheme_b, [1] * 8)
+               for i in range(2 * scheme_b.n)]
+    accept_threads = [server.start_background() for server in servers]
+    try:
+        for seed in range(4):
+            assert run_query(_addresses(servers), params_b, family_b8,
+                             scheme_b, alpha=seed + 1, beta=1, seed=seed,
+                             pir=True).value == 1
+        deadline = time.monotonic() + 5
+        for server in servers:
+            slots = server._conn_slots
+            for _ in range(server_mod.MAX_CONNECTIONS):
+                assert slots.acquire(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            assert not slots.acquire(blocking=False)
+            for _ in range(server_mod.MAX_CONNECTIONS):
+                slots.release()
+    finally:
+        for server in servers:
+            server.shutdown()
+        stopped = time.monotonic()
+    for thread in accept_threads:
+        thread.join(max(0.0, stopped + 1.0 - time.monotonic()))
+        assert not thread.is_alive()
 
 
 def test_idle_connections_do_not_starve_a_server(fleet, params_b, scheme_b,
