@@ -276,7 +276,7 @@ def test_parse_rejects_garbage():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 255, 256, 257, 511,
-                               65521, 1048573])
+                               65521, 1048573, 2 ** 32 - 1, 2 ** 40 + 3])
 def test_draw_below_is_randrange_in_bulk(n):
     """The same values as one randrange(n) call per draw, and the same
     generator state afterwards, byte by byte of the key stream."""
