@@ -44,13 +44,30 @@ def _connect_all(addresses) -> list[socket.socket]:
     return socks
 
 
+# Payload bytes of each reply type: a bare upload ack, a 2-byte residue,
+# and a residue followed by the 32-byte db digest.
+_REPLY_SIZES = {protocol.KEY_UPLOAD: 0, protocol.EVAL_RESP: 2,
+               protocol.PIR_RESP: 34}
+
+
 def _expect(msg: protocol.Message, expected_type: int) -> protocol.Message:
     if msg.type == protocol.ERROR:
         raise QueryError(f"server error {msg.error_name()}: "
                          f"{msg.payload[1:].decode(errors='replace')}")
     if msg.type != expected_type:
         raise QueryError(f"unexpected reply type {msg.type}")
+    if len(msg.payload) != _REPLY_SIZES[expected_type]:
+        raise QueryError(f"reply type {msg.type} has {len(msg.payload)} "
+                         f"payload bytes, expected "
+                         f"{_REPLY_SIZES[expected_type]}")
     return msg
+
+
+def _residue(msg: protocol.Message, p: int) -> int:
+    value = int.from_bytes(msg.payload[:2], "big")
+    if value >= p:
+        raise QueryError(f"reply residue {value} is not below p={p}")
+    return value
 
 
 def run_query(addresses, params: DpfParams, family: MatchingFamily,
@@ -59,7 +76,8 @@ def run_query(addresses, params: DpfParams, family: MatchingFamily,
     """Generate keys, upload them, and run one evaluation or PIR round.
 
     `addresses` must list exactly 2n (host, port) pairs, one per key
-    index in order.  Responses are summed mod p.
+    index in order.  Responses are summed mod p.  A reply of the wrong
+    type or size, or a residue not below p, raises QueryError.
     """
     if (x is None) == (not pir):
         raise ParameterError("exactly one of x= or pir=True must be given")
@@ -85,14 +103,13 @@ def run_query(addresses, params: DpfParams, family: MatchingFamily,
             if pir:
                 reply = _expect(protocol.request(sock, protocol.PIR_REQ),
                                 protocol.PIR_RESP)
-                responses.append(int.from_bytes(reply.payload[:2], "big"))
-                digests.append(reply.payload[2:34])
+                digests.append(reply.payload[2:])
             else:
                 reply = _expect(
                     protocol.request(sock, protocol.EVAL_REQ,
                                      x.to_bytes(4, "big")),
                     protocol.EVAL_RESP)
-                responses.append(int.from_bytes(reply.payload, "big"))
+            responses.append(_residue(reply, params.p))
     finally:
         for s in socks:
             s.close()

@@ -7,43 +7,41 @@ interpolation points a share consisting of the blinded power vector and
 the point itself, and splits a correction vector additively into two
 masks.  Key i = n*j + l pairs mask j with share l and holds exactly its
 wire form: the index, the mask vector and the share vector (h blinded
-subgroup elements, then the interpolation point).  The slot l = i mod n
-is derived, never stored, and this module alone knows the layout.  A
-server holding key i evaluates any input x locally as one monomial in
-its share entries times one linear form in its mask, both over the
-support of u_x, projected onto the constant coefficient.  The monomial
-is read from H by its log, so no field power is taken on the query
-path.  This is the collapsed form of the share conversion (value plus
-scaled gradient) whose vector form lives in the oracles as the
-reference.  Summing all 2n outputs mod p reconstructs the function
-value; any single key is distributed independently of the function.
-
-A PIR server needs only the Z_p-linear functional sum_x db_x * f_i(x),
-so `pir_answer` contracts the db against the family's supports without
-building the N shares: constant_term is Z_p-linear, and on encodings
-ct(y) = enc(y) mod p, since enc = sum_j c_j p^j.  Each term is then one
-log addition, one exp lookup and one reduction mod p.  `evaluate_key`
-and `evaluate_all` stay as the reference that fulleval, verify and the
-oracles use.  The key codec maps each element to its packed coefficient
-bytes through the field's byte tables, and back through their inverse.
+subgroup elements, then the interpolation point), each entry a field
+element's integer encoding.  The slot l = i mod n is derived, never
+stored, and this module alone knows the layout.  A server holding key i
+evaluates any input x locally as one monomial in its share entries
+times one linear form in its mask, both over the support of u_x,
+projected onto the constant coefficient, which is enc mod p.  Each
+product is a log/exp lookup on encodings (Field.mul_enc above
+TABLE_LIMIT), so keygen, the codec and the query path build no
+FieldElement; the JSON form decodes at its boundary.  This is the
+collapsed form of the share conversion whose vector form lives in the
+oracles as the reference.  evaluate_key, evaluate_all and pir_answer
+(the Z_p-linear functional sum_x db_x * f_i(x), none of the N shares
+built) share one walk over the family's supports.  Summing all 2n
+outputs mod p reconstructs the function value; any single key is
+distributed independently of the function.
 
 Randomness contract: key generation consumes the injected rng in a
 fixed documented order (blind vector first, one subgroup index per
-coordinate; then the first mask, tau residues per coordinate), so a
-seeded rng reproduces keys exactly.  Both are drawn in bulk from the
-same stream (field.draw_below): the values and the rng state afterwards
-are those of one rng.randrange call per residue.
+coordinate; then the first mask, tau residues per coordinate), drawn in
+bulk (field.draw_below) with the values and final rng state of one
+rng.randrange call per residue, so a seeded rng reproduces keys exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from .errors import ArtifactMismatchError, KeyParseError, ParameterError
 from .field import FieldElement, draw_below
 from .interpolation import InterpolationScheme
-from .matching import MatchingFamily
+from .matching import MAX_H, MatchingFamily
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
                      parse_artifact)
 
@@ -71,11 +69,12 @@ class PointFunction:
 
 @dataclass(frozen=True)
 class DpfKey:
-    """Key i = n*j + l: mask j and the share of interpolation point l."""
+    """Key i = n*j + l: mask j and the share of interpolation point l,
+    each entry a field element's integer encoding."""
 
-    index: int                       # i in [0, 2n)
-    mask: tuple[FieldElement, ...]   # h+1 additive mask entries
-    share: tuple[FieldElement, ...]  # h blinded entries, then the point
+    index: int               # i in [0, 2n)
+    mask: tuple[int, ...]    # h+1 additive mask entries
+    share: tuple[int, ...]   # h blinded entries, then the point
 
 
 def _check_context(params: DpfParams, family: MatchingFamily,
@@ -89,24 +88,27 @@ def _check_context(params: DpfParams, family: MatchingFamily,
         raise ParameterError("scheme has no interpolation points")
 
 
+def _shares(params: DpfParams, family: MatchingFamily,
+            scheme: InterpolationScheme, alpha: int,
+            blind_logs: list[int]) -> list[tuple[int, ...]]:
+    H, m, v_alpha = params.H_enc, params.m, family.v(alpha)
+    return [tuple(H[(k + v * d) % m] for k, v in zip(blind_logs, v_alpha))
+            + (H[d],) for d in scheme.point_logs]
+
+
 def make_shares(params: DpfParams, family: MatchingFamily,
                 scheme: InterpolationScheme, alpha: int,
-                blind: list[FieldElement]) -> list[tuple[FieldElement, ...]]:
-    """Shares of alpha: for each point b, the vector of coordinate-wise
-    products blind_i * b^(v_i) followed by b itself, where v is the
-    family's second vector at alpha (exponents mod m).  Each product is
-    read from H by its log, log(blind_i) + v_i * log(b) mod m."""
+                blind: list[FieldElement]) -> list[tuple[int, ...]]:
+    """Shares of alpha as keys hold them: for each point b, the encodings
+    of blind_i * b^(v_i), then of b, where v is the family's second
+    vector at alpha; each is H at log(blind_i) + v_i * log(b) mod m."""
     _check_context(params, family, scheme)
     if len(blind) != family.h:
         raise ParameterError(f"blind vector must have length {family.h}")
-    H, log, m = params.H, params.H_log, params.m
+    log = params.H_log
     if any(z.enc not in log for z in blind):
         raise ParameterError("blind entry outside the order-m subgroup")
-    blind_logs = [log[z.enc] for z in blind]
-    v_alpha = family.v(alpha)
-    return [tuple(H[(k + v * log[b.enc]) % m]
-                  for k, v in zip(blind_logs, v_alpha)) + (b,)
-            for b in scheme.points]
+    return _shares(params, family, scheme, alpha, [log[z.enc] for z in blind])
 
 
 def keygen(params: DpfParams, family: MatchingFamily,
@@ -118,7 +120,10 @@ def keygen(params: DpfParams, family: MatchingFamily,
     with v_alpha entries reduced mod p into the prime subfield; it is
     split as mask0 + mask1 with mask0 uniform, and key i = n*j + l
     carries (mask_j, share_l).  blind^{-u_alpha} is H at minus the sum
-    of u_i * log(blind_i) over the support of u_alpha.
+    of u_i * log(blind_i) over the support of u_alpha.  A residue r
+    encodes as r, so the target takes one product per distinct residue.
+    mask0's residues are packed and parsed like a key body; mask1 is an
+    XOR of encodings for p = 2, coefficient-wise otherwise.
     """
     _check_context(params, family, scheme)
     if func.domain_size != family.size:
@@ -127,119 +132,106 @@ def keygen(params: DpfParams, family: MatchingFamily,
     if func.modulus != params.p:
         raise ParameterError(
             f"function modulus {func.modulus} != params p {params.p}")
-    fld = params.field
-    m = params.m
-    h = family.h
+    fld, p, m, h = params.field, params.p, params.m, family.h
 
     blind_logs = draw_below(rng, m, h)
-    blind = [params.H[k] for k in blind_logs]
-    shares = make_shares(params, family, scheme, func.alpha, blind)
+    shares = _shares(params, family, scheme, func.alpha, blind_logs)
 
-    correction = params.H[-sum(u * blind_logs[i] for i, u
-                               in family.supports[func.alpha - 1]) % m]
-    scaled = correction * fld.const(func.beta)
+    correction = -sum(u * blind_logs[i] for i, u
+                      in family.supports[func.alpha - 1]) % m
+    scaled = fld.mul_enc(params.H_enc[correction], func.beta)
+    residues = [v % p for v in family.v(func.alpha)]
+    by_residue = {r: fld.mul_enc(scaled, r) for r in set(residues)}
+    target = [scaled] + [by_residue[r] for r in residues]
 
-    v_alpha = family.v(func.alpha)
-    target = [scaled] + [scaled * fld.const(v_alpha[i] % params.p)
-                         for i in range(h)]
-
-    mask0 = tuple(fld.random_elements(rng, h + 1))
-    mask1 = tuple(t - o for t, o in zip(target, mask0))
+    drawn = draw_below(rng, p, (h + 1) * params.tau)
+    mask0 = _elements(params, _pack(p, drawn), 0)
+    if p == 2:
+        mask1 = tuple(t ^ o for t, o in zip(target, mask0))
+    else:
+        digits = {t: fld.decode_raw(t) for t in set(target)}
+        flat = [c for t in target for c in digits[t]]
+        diff = [(c - o) % p for c, o in zip(flat, drawn)]
+        mask1 = _elements(params, _pack(p, diff), 0)
 
     n = scheme.n
     return [DpfKey(index=n * half + slot, mask=mask, share=shares[slot])
             for half, mask in enumerate((mask0, mask1)) for slot in range(n)]
 
 
+def _point_sums(params: DpfParams, scheme: InterpolationScheme, key: DpfKey,
+                supports):
+    """For each support of a row u_x, an integer that is the key's output
+    at x mod p: ct(a0 * H[e] * (mask[0] - sum_i (u_i mod p) * mask[i+1]))
+    with e = sum_i u_i * log(c_i) mod m over the support, c the share and
+    a0 the slot's first recovery coefficient.  ct is Z_p-linear and
+    ct(y) = enc(y) mod p, so a term is exp[log(a0 * mask_j) + e *
+    log(H[1])] mod p, or a Field.mul_enc product without tables.  A zero
+    mask entry or a0 contributes nothing."""
+    fld, p, m = params.field, params.p, params.m
+    share_logs = list(map(params.H_log.__getitem__, key.share))
+    a0 = scheme.coeffs[key.index % scheme.n][0].enc
+    tables = fld.log_exp
+    if tables is None or not a0:
+        H, mul_enc, handles = params.H_enc, fld.mul_enc, key.mask
+
+        def term(w, e):
+            return mul_enc(mul_enc(a0, w), H[e]) % p
+    else:
+        log, exp = tables
+        q1 = fld.group_order
+        step, log_a0 = log[params.H_enc[1 % m]], log[a0]
+        handles = list(map(log.__getitem__, key.mask))  # log[0] is -1
+
+        def term(w, e):
+            return exp[(log_a0 + w + e * step) % q1] % p if w >= 0 else 0
+    w0 = handles[0]
+    for support in supports:
+        e = 0
+        for i, u in support:
+            e += u * share_logs[i]
+        e %= m
+        total = term(w0, e)
+        for i, u in support:
+            if u % p:
+                total -= u % p * term(handles[i + 1], e)
+        yield total
+
+
 def evaluate_key(params: DpfParams, family: MatchingFamily,
                  scheme: InterpolationScheme, key: DpfKey, x: int) -> int:
-    """One server's output share at input x, a residue mod p: the
-    constant term of a0 * value * (mask[0] - sum_i (u_i mod p)*mask[i+1])
-    with value = prod_i c_i^(u_i mod m), u = u_x, c the share entries and
-    a0 the slot's first recovery coefficient.  Both sums run over the
-    support of u_x, and value is H[sum_i u_i * log(c_i) mod m].
-
-    This is the mask's inner product with oracles.convert_share,
-    collapsed: each c_i lies in the order-m subgroup, so c_i times the
-    i-th partial derivative of the monomial is its value again, and the
-    gradient's factor a1 / b is -a0 by the closed-form lift, so no field
-    inverse is taken.  The field-op count depends on x and the family
-    only.  The key must pass check_key.
-    """
+    """One server's output share at input x, a residue mod p (see
+    _point_sums).  This is the mask's inner product with
+    oracles.convert_share, collapsed: each c_i lies in the order-m
+    subgroup, so c_i times the i-th partial derivative of the monomial is
+    its value again, and the gradient's factor a1 / b is -a0 by the
+    closed-form lift, so no field inverse is taken.  The key must pass
+    check_key."""
     if not 1 <= x <= family.size:
         raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
-    fld = params.field
-    p = params.p
-    share, mask, log = key.share, key.mask, params.H_log
-    exponent = 0
-    linear = fld.zero
-    for i, u in family.supports[x - 1]:
-        exponent += u * log[share[i].enc]
-        if u % p:
-            linear = linear + fld.const(u % p) * mask[i + 1]
-    a0 = scheme.coeffs[key.index % scheme.n][0]
-    value = params.H[exponent % params.m]
-    return (a0 * value * (mask[0] - linear)).constant_term
+    # The key restricted to the support of u_x, so the cost is O(nnz).
+    support = family.supports[x - 1]
+    mask = (key.mask[0],) + tuple(key.mask[i + 1] for i, _ in support)
+    sub = DpfKey(key.index, mask, tuple(key.share[i] for i, _ in support))
+    row = tuple((k, u) for k, (_, u) in enumerate(support))
+    return next(_point_sums(params, scheme, sub, (row,))) % params.p
 
 
 def evaluate_all(params: DpfParams, family: MatchingFamily,
                  scheme: InterpolationScheme, key: DpfKey) -> list[int]:
     """Full-domain evaluation (one residue per x in [1, N])."""
-    return [evaluate_key(params, family, scheme, key, x)
-            for x in range(1, family.size + 1)]
+    p = params.p
+    return [s % p for s in _point_sums(params, scheme, key, family.supports)]
 
 
 def pir_answer(params: DpfParams, family: MatchingFamily,
                scheme: InterpolationScheme, key: DpfKey,
                db: list[int]) -> int:
-    """One server's PIR answer, sum_x db_x * evaluate_key(x) mod p, as one
-    contraction over the family's supports.
-
-    With w = a0 * mask and v_x = H[sum_i u_i * log(c_i) mod m], the
-    answer is sum_x db_x * [ct(w_0 * v_x) - sum_{(i,u) in supp(x)}
-    (u mod p) * ct(w_{i+1} * v_x)] mod p, because ct is Z_p-linear and
-    db_x, u mod p lie in Z_p.  With the field's tables a term is
-    exp[log(w_j) + log(v_x)] mod p, where log(v_x) is that exponent times
-    log(H[1]); above TABLE_LIMIT it is a Field product.  A zero db entry
-    or mask entry contributes nothing.  The key must pass check_key.
-    """
-    fld, p, m, H = params.field, params.p, params.m, params.H
-    H_log = params.H_log
-    share_logs = [H_log[c.enc] for c in key.share[:family.h]]
-    a0 = scheme.coeffs[key.index % scheme.n][0]
-    tables = fld.log_exp
-    if tables is None:
-        scaled = [a0 * w for w in key.mask]
-        handles = [w if w.enc else None for w in scaled]
-
-        def term(w, e):
-            return (w * H[e]).constant_term
-    else:
-        # Each w_j as its log: log(a0) + log(mask_j), None for w_j = 0.
-        log, exp = tables
-        q1 = fld.group_order
-        step, log_a0 = log[H[1 % m].enc], log[a0.enc]
-        handles = [(log_a0 + log[w.enc]) % q1 if w.enc and a0.enc else None
-                   for w in key.mask]
-
-        def term(w, e):
-            return exp[(w + e * step) % q1] % p
-    w0 = handles[0]
-    total = 0
-    for d, support in zip(db, family.supports):
-        if not d:
-            continue
-        e = 0
-        for i, u in support:
-            e += u * share_logs[i]
-        e %= m
-        acc = 0 if w0 is None else term(w0, e)
-        for i, u in support:
-            w = handles[i + 1]
-            if u % p and w is not None:
-                acc -= u % p * term(w, e)
-        total += d * acc
-    return total % p
+    """One server's PIR answer, sum_x db_x * evaluate_key(x) mod p, with
+    one reduction; zero db entries are skipped.  The key must pass
+    check_key."""
+    sums = _point_sums(params, scheme, key, compress(family.supports, db))
+    return sum(map(mul, filter(None, db), sums)) % params.p
 
 
 def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
@@ -256,10 +248,11 @@ def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
     if not 0 <= key.index < 2 * n:
         raise ParameterError(f"key index {key.index} outside [0, {2 * n})")
     slot = key.index % n
-    if key.share[h] != scheme.points[slot]:
+    if key.share[h] != scheme.points[slot].enc:
         raise ParameterError(
             f"key share point is not the interpolation point of slot {slot}")
-    if any(c.enc not in params.H_log for c in key.share[:h]):
+    H_log = params.H_log
+    if any(c not in H_log for c in key.share[:h]):
         raise ParameterError("key share entry outside the order-m subgroup")
 
 
@@ -282,15 +275,48 @@ def _coeff_format(p: int, count: int) -> str:
     return f"<{count}{'B' if coeff_width(p) == 1 else 'H'}"
 
 
+def _pack(p: int, coeffs) -> bytes:
+    return struct.pack(_coeff_format(p, len(coeffs)), *coeffs)
+
+
+@functools.lru_cache(maxsize=16)
+def _slicer(size: int, count: int) -> struct.Struct:
+    """Splits `count` consecutive elements of `size` bytes each."""
+    return struct.Struct(f"{size}s" * count)
+
+
 def _out_of_range(data: bytes, p: int, start: int) -> KeyParseError:
-    """The error for the first coefficient >= p at or after byte `start`
-    of a key, reported at its byte offset."""
+    """The error for the first coefficient >= p in data[start:], at its
+    byte offset."""
     width = coeff_width(p)
-    for offset in range(start, len(data), width):
-        c = int.from_bytes(data[offset:offset + width], "little")
-        if c >= p:
-            return KeyParseError(f"coefficient {c} out of range", offset)
-    raise AssertionError("no coefficient >= p after the start")
+    coeffs = struct.unpack_from(
+        _coeff_format(p, (len(data) - start) // width), data, start)
+    k = next(k for k, c in enumerate(coeffs) if c >= p)
+    return KeyParseError(f"coefficient {coeffs[k]} out of range",
+                         start + k * width)
+
+
+def _elements(params: DpfParams, data: bytes,
+              start: int) -> tuple[int, ...]:
+    """The encodings of the packed elements that fill data[start:];
+    KeyParseError at the first coefficient >= p.  Without byte tables
+    (above TABLE_LIMIT) the coefficients are unpacked and encoded."""
+    fld, p, tau = params.field, params.p, params.tau
+    width = coeff_width(p)
+    codec = fld.byte_codec(width)
+    if codec is None:
+        coeffs = struct.unpack_from(
+            _coeff_format(p, (len(data) - start) // width), data, start)
+        if max(coeffs) >= p:
+            raise _out_of_range(data, p, start)
+        return tuple(fld.encode(coeffs[k:k + tau])
+                     for k in range(0, len(coeffs), tau))
+    size = tau * width
+    slicer = _slicer(size, (len(data) - start) // size)
+    encs = tuple(map(codec[1].get, slicer.unpack_from(data, start)))
+    if None in encs:    # a slice holding a coefficient >= p
+        raise _out_of_range(data, p, start + encs.index(None) * size)
+    return encs
 
 
 def serialize_key(params: DpfParams, key: DpfKey) -> bytes:
@@ -298,17 +324,17 @@ def serialize_key(params: DpfParams, key: DpfKey) -> bytes:
     vectors as packed little-endian coefficient arrays."""
     header = KEY_MAGIC + bytes([KEY_VERSION]) + key.index.to_bytes(2, "big")
     elems = key.mask + key.share
-    codec = params.field.byte_codec(coeff_width(params.p))
+    fld = params.field
+    codec = fld.byte_codec(coeff_width(params.p))
     if codec is None:
-        coeffs = [c for e in elems for c in e.coeffs]
-        return header + struct.pack(_coeff_format(params.p, len(coeffs)),
-                                    *coeffs)
-    pack = codec[0]
-    return header + b"".join([pack[e.enc] for e in elems])
+        return header + _pack(params.p, [c for e in elems
+                                         for c in fld.decode_raw(e)])
+    return header + b"".join(map(codec[0].__getitem__, elems))
 
 
 def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
-    """Parse the binary form; n is the scheme size (bounds the index)."""
+    """Parse the binary form; n is the scheme size (bounds the index).
+    A vector longer than any family's h + 1 is refused before parsing."""
     if len(data) < KEY_HEADER_LEN:
         raise KeyParseError("truncated key header", len(data))
     if data[:4] != KEY_MAGIC:
@@ -317,36 +343,21 @@ def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
         raise KeyParseError(f"unsupported key version {data[4]}", 4)
     index = int.from_bytes(data[5:7], "big")
 
-    p, tau = params.p, params.tau
-    width = coeff_width(p)
-    size = tau * width
+    size = params.tau * coeff_width(params.p)
     body = len(data) - KEY_HEADER_LEN
     if body % (2 * size) != 0:
         raise KeyParseError("key body length is not element-aligned", len(data))
     per_vector = body // (2 * size)
     if per_vector < 2:
         raise KeyParseError("key body too short for any share vector", len(data))
+    if per_vector > MAX_H + 1:
+        raise KeyParseError("key body too long for any family", len(data))
 
-    fld = params.field
-    codec = fld.byte_codec(width)
-    if codec is None:
-        coeffs = struct.unpack_from(_coeff_format(p, body // width), data,
-                                    KEY_HEADER_LEN)
-        if max(coeffs) >= p:
-            raise _out_of_range(data, p, KEY_HEADER_LEN)
-        encs = [fld.encode(coeffs[k:k + tau])
-                for k in range(0, len(coeffs), tau)]
-    else:
-        unpack = codec[1]
-        starts = range(KEY_HEADER_LEN, len(data), size)
-        encs = [unpack.get(data[k:k + size]) for k in starts]
-        if None in encs:    # a slice holding a coefficient >= p
-            raise _out_of_range(data, p, starts[encs.index(None)])
-    elems = tuple(map(fld.decode, encs))
+    encs = _elements(params, data, KEY_HEADER_LEN)
     if not 0 <= index < 2 * n:
         raise ParameterError(f"key index {index} outside [0, {2 * n})")
-    return DpfKey(index=index, mask=elems[:per_vector],
-                  share=elems[per_vector:])
+    return DpfKey(index=index, mask=encs[:per_vector],
+                  share=encs[per_vector:])
 
 
 def key_to_json(params: DpfParams, n: int, key: DpfKey,
@@ -358,8 +369,8 @@ def key_to_json(params: DpfParams, n: int, key: DpfKey,
         "i": key.index,
         "j": half,
         "ell": slot,
-        "omega": [e.as_string() for e in key.mask],
-        "c": [e.as_string() for e in key.share],
+        "omega": [params.field.decode(e).as_string() for e in key.mask],
+        "c": [params.field.decode(e).as_string() for e in key.share],
         "params_digest": params_digest,
     }
     return canonical_json_bytes(obj)
@@ -376,8 +387,8 @@ def key_from_json(params: DpfParams, n: int, data: bytes,
     fld = params.field
     with artifact_fields("key"):
         index, layout = obj["i"], [obj["j"], obj["ell"]]
-        mask = tuple(fld.parse_element(s) for s in obj["omega"])
-        share = tuple(fld.parse_element(s) for s in obj["c"])
+        mask = tuple(fld.parse_element(s).enc for s in obj["omega"])
+        share = tuple(fld.parse_element(s).enc for s in obj["c"])
     if type(index) is not int or not 0 <= index < 2 * n:
         raise ParameterError(
             f"key index {index!r} is not an integer in [0, {2 * n})")

@@ -5,10 +5,11 @@ smallest monic irreducible zeta(X), stored constant term first.  For
 small fields (order <= 2**16) the constructor builds discrete-log tables
 over a fixed smallest generator, giving O(1) multiplication, inversion
 and powering; all elements are then interned so arithmetic allocates
-nothing.  The serving path reads those tables on integer encodings
-(`log_exp`) and packs keys through per-field byte tables (`byte_codec`);
-above the limit both return None and callers fall back to FieldElement
-arithmetic and struct packing.
+nothing.  The serving path works on integer encodings: it reads those
+tables (`log_exp`), multiplies with `mul_enc` and packs keys through
+per-field byte tables (`byte_codec`); above the limit `log_exp` and
+`byte_codec` return None, and callers use `mul_enc`'s polynomial product
+and struct packing.
 
 The additive output map used by the point-function scheme is
 ``constant_term``: it projects a field element onto its constant
@@ -310,12 +311,7 @@ class Field:
     def decode(self, enc: int) -> FieldElement:
         if self._elems is not None:
             return self._elems[enc]
-        v = enc
-        coeffs = []
-        for _ in range(self.tau):
-            coeffs.append(v % self.p)
-            v //= self.p
-        return FieldElement(self, tuple(coeffs), enc)
+        return FieldElement(self, tuple(self.decode_raw(enc)), enc)
 
     def element(self, coeffs) -> FieldElement:
         """Build an element from a coefficient sequence (reduced mod p)."""
@@ -349,6 +345,7 @@ class Field:
         return self.encode(_poly_mulmod(pa, pb, self.zeta, self.p))
 
     def decode_raw(self, enc: int) -> list[int]:
+        """The tau coefficients of an encoding, constant term first."""
         coeffs = []
         for _ in range(self.tau):
             coeffs.append(enc % self.p)
@@ -388,15 +385,8 @@ class Field:
         self._generator_enc = g
         self._exp = exp
         self._log = log
-        elems = []
-        for enc in range(self.order):
-            v = enc
-            coeffs = []
-            for _ in range(self.tau):
-                coeffs.append(v % self.p)
-                v //= self.p
-            elems.append(FieldElement(self, tuple(coeffs), enc))
-        self._elems = elems
+        self._elems = [FieldElement(self, tuple(self.decode_raw(enc)), enc)
+                       for enc in range(self.order)]
 
     # -- integer access for the serving path ----------------------------------
 
@@ -404,7 +394,7 @@ class Field:
     def log_exp(self) -> tuple[list[int], list[int]] | None:
         """(log, exp) over encodings, or None above TABLE_LIMIT: exp[k]
         encodes g^k and log[a] = k for a != 0 (g the tables' generator,
-        k in [0, group_order))."""
+        k in [0, group_order)), and log[0] = -1."""
         return None if self._log is None else (self._log, self._exp)
 
     def byte_codec(self, width: int
@@ -457,14 +447,16 @@ class Field:
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a)
         self._check(b)
-        if a.enc == 0 or b.enc == 0:
-            return self.zero
-        if self._log is not None:
-            k = self._log[a.enc] + self._log[b.enc]
-            if k >= self.group_order:
-                k -= self.group_order
-            return self._elems[self._exp[k]]
-        return self.decode(self._mul_enc_direct(a.enc, b.enc))
+        return self.decode(self.mul_enc(a.enc, b.enc))
+
+    def mul_enc(self, a: int, b: int) -> int:
+        """The product of two encodings, as an encoding: one log/exp
+        lookup, or a polynomial product above TABLE_LIMIT."""
+        if a == 0 or b == 0:
+            return 0
+        if self._log is None:
+            return self._mul_enc_direct(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % self.group_order]
 
     def inv(self, a: FieldElement) -> FieldElement:
         self._check(a)

@@ -150,6 +150,14 @@ def _table_derivative(params: DpfParams, table: dict[int, FieldElement],
     return total
 
 
+def _decoded_shares(params: DpfParams, family: MatchingFamily,
+                    scheme: InterpolationScheme, alpha: int,
+                    blind: list[FieldElement]) -> list[tuple]:
+    """make_shares, with each encoding decoded into a FieldElement."""
+    return [tuple(map(params.field.decode, share))
+            for share in make_shares(params, family, scheme, alpha, blind)]
+
+
 def derivative_consistency_check(params: DpfParams, family: MatchingFamily,
                                  scheme: InterpolationScheme, alpha: int,
                                  x: int, blind: list[FieldElement]) -> OracleReport:
@@ -162,7 +170,7 @@ def derivative_consistency_check(params: DpfParams, family: MatchingFamily,
     report = OracleReport("derivative_consistency")
     fld = params.field
     table = reduced_polynomial_table(params, family, alpha, x, blind)
-    shares = make_shares(params, family, scheme, alpha, blind)
+    shares = _decoded_shares(params, family, scheme, alpha, blind)
     unit = replace(scheme, coeffs=((fld.one, fld.one),) * scheme.n)
     v_alpha = family.v(alpha)
     for slot, b in enumerate(scheme.points):
@@ -192,7 +200,7 @@ def reconstruction_identity_check(params: DpfParams, family: MatchingFamily,
     report = OracleReport("reconstruction_identity")
     fld = params.field
     table = reduced_polynomial_table(params, family, alpha, x, blind)
-    shares = make_shares(params, family, scheme, alpha, blind)
+    shares = _decoded_shares(params, family, scheme, alpha, blind)
     h = family.h
 
     total = [fld.zero] * (h + 1)
@@ -270,7 +278,7 @@ def check_distribution_equality(params: DpfParams, family: MatchingFamily,
                 out.append(serialize_key(params, DpfKey(0, (), share))
                            [KEY_HEADER_LEN:])
             else:
-                out.append(tuple(e.enc for e in share))
+                out.append(share)
         out.sort()
         return out
 

@@ -87,11 +87,16 @@ class DpfParams:
     n_target: int
 
     @cached_property
+    def H_enc(self) -> tuple[int, ...]:
+        """The encodings of H, in the same order."""
+        return tuple(b.enc for b in self.H)
+
+    @cached_property
     def H_log(self) -> dict[int, int]:
         """Discrete log of each element of H, keyed by its encoding: the
         element c lies in H exactly when c.enc is a key, and then
         H[H_log[c.enc]] == c.  m entries, so no full-field table."""
-        return {b.enc: k for k, b in enumerate(self.H)}
+        return {c: k for k, c in enumerate(self.H_enc)}
 
 
 def _multiplicative_order(p: int, m: int) -> int:

@@ -79,12 +79,17 @@ def error_message(code: int, text: str = "") -> bytes:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
+    """n bytes from sock: the first chunk itself when it holds them all,
+    as it usually does on loopback, so no copy is made."""
+    chunk = sock.recv(n)
+    if len(chunk) == n:
+        return chunk
+    buf = bytearray(chunk)
+    while chunk and len(buf) < n:
         chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
         buf += chunk
+    if len(buf) < n:
+        raise ConnectionError("peer closed the connection")
     return bytes(buf)
 
 

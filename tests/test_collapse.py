@@ -18,11 +18,12 @@ from itdpf.oracles import convert_share
 
 
 def _reference(params, family, scheme, key, x):
+    fld = params.field
     conv = convert_share(params, family, scheme, key.index % scheme.n, x,
-                         key.share)
-    inner = params.field.zero
+                         tuple(map(fld.decode, key.share)))
+    inner = fld.zero
     for a, b in zip(key.mask, conv):
-        inner = inner + a * b
+        inner = inner + fld.decode(a) * b
     return inner.constant_term
 
 

@@ -1,16 +1,24 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from itdpf.dpf import (DpfKey, PointFunction,
-                       deserialize_key, evaluate_all, evaluate_key,
-                       key_byte_length, key_from_json, key_to_json, keygen,
-                       make_shares, serialize_key)
+from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, DpfKey,
+                       PointFunction, deserialize_key, evaluate_all,
+                       evaluate_key, key_byte_length, key_from_json,
+                       key_to_json, keygen, make_shares, serialize_key)
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
-from itdpf.interpolation import InterpolationScheme
-from itdpf.matching import MatchingFamily, product_family, trivial_family
+from itdpf.interpolation import InterpolationScheme, build_scheme
+from itdpf.matching import (MAX_H, MatchingFamily, product_family,
+                            trivial_family)
 from itdpf.oracles import convert_share
+from itdpf.params import build_params
+
+
+def _decoded(params, vector):
+    """A key vector of encodings as field elements."""
+    return tuple(map(params.field.decode, vector))
 
 
 def _sum_eval(params, family, scheme, keys, x):
@@ -29,7 +37,7 @@ def test_shares_with_zero_exponent_vector(params_b, scheme_b):
     blind = [params_b.H[rng.randrange(6)] for _ in range(2)]
     shares = make_shares(params_b, family, scheme_b, 1, blind)
     for share, point in zip(shares, scheme_b.points):
-        assert share == (*blind, point)
+        assert share == (*(z.enc for z in blind), point.enc)
 
 
 def test_shares_with_unit_blind(params_b, scheme_b, family_b8):
@@ -38,7 +46,7 @@ def test_shares_with_unit_blind(params_b, scheme_b, family_b8):
     v = family_b8.v(3)
     for share, point in zip(shares, scheme_b.points):
         for i in range(8):
-            assert share[i] == point ** (v[i] % params_b.m)
+            assert share[i] == (point ** (v[i] % params_b.m)).enc
 
 
 def test_shares_match_direct_exponentiation(params_b, scheme_b):
@@ -50,8 +58,8 @@ def test_shares_match_direct_exponentiation(params_b, scheme_b):
     for share, point in zip(shares, scheme_b.points):
         for i in range(3):
             expected = blind[i] * point ** (v[i] % params_b.m)
-            assert share[i] == expected
-        assert share[3] == point
+            assert share[i] == expected.enc
+        assert share[3] == point.enc
 
 
 def test_shares_reject_blind_outside_subgroup(params_b, scheme_b, family_b8):
@@ -77,7 +85,8 @@ def test_convert_share_basis_structure(params_b, scheme_b, family_b8):
     # entry 0 and the single slot matching x.
     rng = random.Random(2)
     blind = [params_b.H[rng.randrange(6)] for _ in range(8)]
-    shares = make_shares(params_b, family_b8, scheme_b, 4, blind)
+    shares = [_decoded(params_b, share) for share in
+              make_shares(params_b, family_b8, scheme_b, 4, blind)]
     x = 6
     for slot in range(scheme_b.n):
         conv = convert_share(params_b, family_b8, scheme_b, slot, x, shares[slot])
@@ -98,7 +107,8 @@ def test_convert_share_zero_coefficients(params_b, scheme_b, family_b8):
         ((zero, zero),) + scheme_b.coeffs[1:])
     blind = [params_b.H[1]] * 8
     share = make_shares(params_b, family_b8, muted, 2, blind)[0]
-    conv = convert_share(params_b, family_b8, muted, 0, 5, share)
+    conv = convert_share(params_b, family_b8, muted, 0, 5,
+                         _decoded(params_b, share))
     assert all(e.is_zero() for e in conv)
 
 
@@ -117,8 +127,10 @@ def test_convert_share_ignores_exponent_shifts_by_M(params_b, scheme_b):
         assert s1 == s2
         for x in range(1, 5):
             for slot in range(scheme_b.n):
-                assert (convert_share(params_b, base, scheme_b, slot, x, s1[slot])
-                        == convert_share(params_b, shifted, scheme_b, slot, x, s2[slot]))
+                assert (convert_share(params_b, base, scheme_b, slot, x,
+                                      _decoded(params_b, s1[slot]))
+                        == convert_share(params_b, shifted, scheme_b, slot, x,
+                                         _decoded(params_b, s2[slot])))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +156,9 @@ def test_keygen_mask_sum_identity(params_b, scheme_b, family_b8):
 
     n = scheme_b.n
     for slot in range(n):
-        summed = [a + b for a, b in zip(keys[slot].mask, keys[n + slot].mask)]
+        summed = [a + b for a, b in zip(
+            _decoded(params_b, keys[slot].mask),
+            _decoded(params_b, keys[n + slot].mask))]
         assert summed == target
         assert keys[slot].share == keys[n + slot].share
 
@@ -155,7 +169,7 @@ def test_keygen_index_layout(params_a, scheme_a, family_a16):
     for key in keys:
         half, slot = divmod(key.index, scheme_a.n)
         assert key.index == scheme_a.n * half + slot
-        assert key.share[-1] == scheme_a.points[slot]
+        assert key.share[-1] == scheme_a.points[slot].enc
 
 
 def test_correctness_binary_fixture_spot(params_a, scheme_a, family_a16):
@@ -208,7 +222,7 @@ def test_zero_function_sums_to_zero_everywhere(params_b, scheme_b, family_b8):
 def test_zero_mask_evaluates_to_zero(params_b, scheme_b, family_b8):
     keys = keygen(params_b, family_b8, scheme_b,
                   PointFunction(8, 5, 1, 1), random.Random(4))
-    zeroed = DpfKey(keys[0].index, (params_b.field.zero,) * 9, keys[0].share)
+    zeroed = DpfKey(keys[0].index, (0,) * 9, keys[0].share)
     for x in range(1, 9):
         assert evaluate_key(params_b, family_b8, scheme_b, zeroed, x) == 0
 
@@ -222,11 +236,12 @@ def test_bilinear_regrouping(params_b, scheme_b, family_b8):
     n = scheme_b.n
     for x in (1, 3, 7):
         direct = _sum_eval(params_b, family_b8, scheme_b, keys, x)
-        mask_sum = [a + b for a, b in zip(keys[0].mask, keys[n].mask)]
+        mask_sum = [a + b for a, b in zip(_decoded(params_b, keys[0].mask),
+                                          _decoded(params_b, keys[n].mask))]
         conv_sum = [fld.zero] * 9
         for slot in range(n):
             conv = convert_share(params_b, family_b8, scheme_b, slot, x,
-                                 keys[slot].share)
+                                 _decoded(params_b, keys[slot].share))
             conv_sum = [a + b for a, b in zip(conv_sum, conv)]
         inner = fld.zero
         for a, b in zip(mask_sum, conv_sum):
@@ -276,7 +291,7 @@ def test_single_share_blind_map_is_bijection(params_b, scheme_b, family_b2):
                     blind = [params_b.H[c0], params_b.H[c1]]
                     share = make_shares(params_b, family_b2, scheme_b,
                                         alpha, blind)[slot]
-                    images.add((share[0].enc, share[1].enc))
+                    images.add((share[0], share[1]))
             assert len(images) == m * m
 
 
@@ -303,8 +318,7 @@ def test_key_distribution_equality_exhaustive(params_b, scheme_b, family_b2):
                 blind = [params_b.H[c0], params_b.H[c1]]
                 share = make_shares(params_b, family_b2, scheme_b,
                                     func.alpha, blind)[0]
-                share_code = (share[0].enc * q
-                              + share[1].enc) * q + share[2].enc
+                share_code = (share[0] * q + share[1]) * q + share[2]
                 if half == 0:
                     for o in range(q ** 3):
                         out.append(o * shift + share_code)
@@ -361,6 +375,19 @@ def test_truncated_stream_is_a_parse_error(params_a, scheme_a, family_a16):
         deserialize_key(params_a, scheme_a.n, blob[:-1])
 
 
+def test_key_longer_than_any_family_is_refused(params_b, scheme_b):
+    # Zero bytes are valid coefficients: h = MAX_H parses, h + 1 does not.
+    header = KEY_MAGIC + bytes([KEY_VERSION]) + (0).to_bytes(2, "big")
+    size = params_b.tau
+    longest = header + bytes(2 * (MAX_H + 1) * size)
+    assert len(deserialize_key(params_b, scheme_b.n, longest).mask) == (
+        MAX_H + 1)
+    data = header + bytes(2 * (MAX_H + 2) * size)
+    with pytest.raises(KeyParseError, match="too long") as info:
+        deserialize_key(params_b, scheme_b.n, data)
+    assert info.value.offset == len(data) > KEY_HEADER_LEN
+
+
 def test_bad_magic_and_version(params_a, scheme_a, family_a16):
     key = keygen(params_a, family_a16, scheme_a,
                  PointFunction(16, 2, 1, 1), random.Random(0))[0]
@@ -405,3 +432,47 @@ def test_json_index_out_of_range(params_b, scheme_b, family_b8, index):
                             i=index, j=j, ell=ell)
     with pytest.raises(ParameterError, match="not an integer in"):
         key_from_json(params_b, scheme_b.n, data)
+
+
+# ---------------------------------------------------------------------------
+# The wire form, pinned: sha256 over every serialize_key output of keygen
+# at seeds 0-4, per fixture and family.  Recorded on the FieldElement key
+# form, so a change of the key's in-memory form cannot move a byte.
+# ---------------------------------------------------------------------------
+
+WIRE_HASHES = {
+    "binary-basis16":
+        "4d4aa98a2173de130eef15aaacd5be922ebc66282818071c6b1b6f886b8c31d7",
+    "binary-product12":
+        "739a533c61579a0b6de2b67c77702adfd137ce0a2a0f926bb1bb8dda5639811f",
+    "odd-basis8":
+        "e59d80ba050c9c8d728d4caf4cf254ae01d29714f7b07cf49ba3dae49de925f7",
+    "odd-product12":
+        "4714e8c841e1a5ddaa8ce1818f921b15612fc51ba56597fa5bdf618527fd2b42",
+    "wide-basis6":
+        "abd23bf4d50b4ebc56a3e3bc8b9b35042080dca44791a09b4e9d9d788a6ea9e0",
+}
+
+
+def _wire_family(params, kind):
+    if kind.startswith("product"):
+        return product_family(params, int(kind[len("product"):]))
+    return trivial_family(params.M, int(kind[len("basis"):]))
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_HASHES))
+def test_wire_bytes_are_pinned(case):
+    fixture, kind = case.split("-")
+    primes, p = {"binary": ((7, 73), 2), "odd": ((2, 3), 5),
+                 "wide": ((2,), 257)}[fixture]
+    params = build_params(primes, p)
+    scheme = build_scheme(params)
+    family = _wire_family(params, kind)
+    digest = hashlib.sha256()
+    for seed in range(5):
+        rng = random.Random(seed)
+        func = PointFunction(family.size, p, rng.randrange(family.size) + 1,
+                             rng.randrange(p))
+        for key in keygen(params, family, scheme, func, rng):
+            digest.update(serialize_key(params, key))
+    assert digest.hexdigest() == WIRE_HASHES[case]

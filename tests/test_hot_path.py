@@ -1,10 +1,13 @@
 """The query path runs on integers: sparse rows, subgroup logs, one codec.
 
-A server parses a key, checks it and evaluates it without a single
-Field.pow: share entries are looked up in the log index of H, the
-monomial is read from H by its log, and evaluation walks the support of
-u_x, never the dense row.  A PIR request is answered by pir_answer
-alone, never by evaluate_key or evaluate_all.  The key codec maps
+Keys hold integer encodings from keygen to the answer: keygen,
+serialize_key, deserialize_key, check_key, evaluate_key and pir_answer
+run without any Field arithmetic or decode, and agree with the
+FieldElement reference oracles.convert_share.  Share entries are looked
+up in the log index of H, the monomial is read from H by its log, and
+evaluation walks the support of u_x, never the dense row.  A PIR
+request is answered by pir_answer alone, never by evaluate_key or
+evaluate_all.  The key codec maps
 elements to packed coefficient bytes through the field's byte tables,
 byte-identical to a struct packing at coefficient width 1 and 2, and a
 coefficient >= p is refused at the byte offset 7 + k*width by the table
@@ -13,6 +16,7 @@ codec and by the struct codec that fields above TABLE_LIMIT use.
 
 import random
 import struct
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -20,7 +24,7 @@ import pytest
 from itdpf import dpf, protocol, server
 from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, PointFunction,
                        check_key, coeff_width, deserialize_key, evaluate_all,
-                       evaluate_key, keygen, serialize_key)
+                       evaluate_key, keygen, pir_answer, serialize_key)
 from itdpf.errors import KeyParseError
 from itdpf.field import Field
 from itdpf.interpolation import build_scheme
@@ -38,11 +42,12 @@ def wide():
 
 
 def _reference(params, family, scheme, key, x):
+    fld = params.field
     conv = convert_share(params, family, scheme, key.index % scheme.n, x,
-                         key.share)
-    inner = params.field.zero
+                         tuple(map(fld.decode, key.share)))
+    inner = fld.zero
     for a, b in zip(key.mask, conv):
-        inner = inner + a * b
+        inner = inner + fld.decode(a) * b
     return inner.constant_term
 
 
@@ -62,32 +67,58 @@ def _forbidden(name):
     return call
 
 
-@pytest.mark.parametrize("fixture, h", [("a", 16), ("b", 8)])
-def test_query_path_without_field_pow_or_dense_rows(request, fixture, h):
-    params = request.getfixturevalue(f"params_{fixture}")
-    scheme = request.getfixturevalue(f"scheme_{fixture}")
-    family = trivial_family(params.M, h)
-    func = PointFunction(h, params.p, 3, 1)
-    keys = keygen(params, family, scheme, func, random.Random(9))
-    wire = [serialize_key(params, key) for key in keys]
-    expected = [[_reference(params, family, scheme, key, x)
-                 for x in range(1, h + 1)] for key in keys]
+FIELD_ARITHMETIC = ("mul", "add", "sub", "neg", "const", "pow", "inv",
+                    "decode")
 
+
+@contextmanager
+def _integers_only(family):
+    """Fail on any Field arithmetic or decode, on family.u and on a read
+    of the dense rows of U; the rows are put back on exit."""
     family.supports        # the sparse view, computed once per family
-    object.__setattr__(family, "U", _DenseRowsUnread(family.U))
-    with mock.patch.object(Field, "pow", _forbidden("Field.pow")), \
-            mock.patch.object(MatchingFamily, "u", _forbidden("family.u")):
-        assert len(keys) == 2 * scheme.n
-        for data, key, values in zip(wire, keys, expected):
-            parsed = deserialize_key(params, scheme.n, data)
-            assert parsed == key
-            check_key(params, scheme, h, parsed)
-            assert [evaluate_key(params, family, scheme, parsed, x)
-                    for x in range(1, h + 1)] == values
-            assert evaluate_all(params, family, scheme, parsed) == values
-        keygen(params, family, scheme, func, random.Random(9))
-    assert [sum(col) % params.p for col in zip(*expected)] == [
-        1 if x == 3 else 0 for x in range(1, h + 1)]
+    rows = family.U
+    object.__setattr__(family, "U", _DenseRowsUnread(rows))
+    try:
+        with ExitStack() as stack:
+            for name in FIELD_ARITHMETIC:
+                stack.enter_context(mock.patch.object(
+                    Field, name, _forbidden(f"Field.{name}")))
+            stack.enter_context(mock.patch.object(
+                MatchingFamily, "u", _forbidden("family.u")))
+            yield
+    finally:
+        object.__setattr__(family, "U", rows)
+
+
+@pytest.mark.parametrize("fixture, h", [("a", 16), ("b", 8), ("wide", 6)])
+def test_query_path_without_field_pow_or_dense_rows(request, wide, fixture,
+                                                    h):
+    params, scheme = _fixture(request, wide, fixture)
+    p = params.p
+    for family in (trivial_family(params.M, h), product_family(params, 6)):
+        size = family.size
+        func = PointFunction(size, p, 3, 1 + 3 % (p - 1))
+        db = [random.Random(size).randrange(p) for _ in range(size)]
+        with _integers_only(family):
+            keys = keygen(params, family, scheme, func, random.Random(9))
+            parsed = [deserialize_key(params, scheme.n,
+                                      serialize_key(params, key))
+                      for key in keys]
+            for key in parsed:
+                check_key(params, scheme, family.h, key)
+            values = [[evaluate_key(params, family, scheme, key, x)
+                       for x in range(1, size + 1)] for key in parsed]
+            assert [evaluate_all(params, family, scheme, key)
+                    for key in parsed] == values
+            answers = [pir_answer(params, family, scheme, key, db)
+                       for key in parsed]
+        assert parsed == keys and len(keys) == 2 * scheme.n
+        assert values == [[_reference(params, family, scheme, key, x)
+                           for x in range(1, size + 1)] for key in keys]
+        assert answers == [sum(d * y for d, y in zip(db, row)) % p
+                           for row in values]
+        assert [sum(col) % p for col in zip(*values)] == [
+            func.beta if x == 3 else 0 for x in range(1, size + 1)]
 
 
 def test_width_two_round_trip_and_evaluation(wide):
@@ -101,7 +132,7 @@ def test_width_two_round_trip_and_evaluation(wide):
             data = serialize_key(params, key)
             assert len(data) == KEY_HEADER_LEN + 2 * 7 * 2
             assert data[KEY_HEADER_LEN:KEY_HEADER_LEN + 2] == (
-                key.mask[0].constant_term.to_bytes(2, "little"))
+                key.mask[0].to_bytes(2, "little"))     # tau = 1: enc = c_0
             parsed = deserialize_key(params, scheme.n, data)
             assert parsed == key
             check_key(params, scheme, family.h, parsed)
@@ -165,7 +196,8 @@ def test_table_codec_matches_struct_packing(request, wide, fixture):
         for key in keygen(params, family, scheme,
                           PointFunction(5, params.p, 4, 1),
                           random.Random(seed)):
-            coeffs = [c for e in key.mask + key.share for c in e.coeffs]
+            coeffs = [c for e in key.mask + key.share
+                      for c in params.field.decode(e).coeffs]
             packed = (KEY_MAGIC + bytes([KEY_VERSION])
                       + key.index.to_bytes(2, "big")
                       + struct.pack(f"<{len(coeffs)}{fmt}", *coeffs))

@@ -37,11 +37,11 @@ def _malformed(params, scheme, family, case):
     if case == "wrong_h":
         return _key0(params, scheme, trivial_family(params.M, family.h - 2))
     if case == "zero_point":
-        share[-1] = params.field.zero
+        share[-1] = params.field.zero.enc
     elif case == "outside_subgroup":
-        share[0] = params.field.smallest_generator()   # order 24, not 6
+        share[0] = params.field.smallest_generator().enc   # order 24, not 6
     elif case == "other_slot_point":
-        share[-1] = scheme.points[1]
+        share[-1] = scheme.points[1].enc
     return _with_share(key, share)
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import random
 import socket
+import threading
 import time
 
 import pytest
 
-from itdpf import protocol, server as server_mod
+from itdpf import client as client_mod, protocol, server as server_mod
 from itdpf.client import QueryError, run_query
 from itdpf.dpf import PointFunction, evaluate_key, keygen, serialize_key
 from itdpf.errors import ParameterError
@@ -160,6 +161,141 @@ def test_idle_connections_do_not_starve_a_server(fleet, params_b, scheme_b,
     finally:
         for sock in idle:
             sock.close()
+
+
+def test_frame_read_in_pieces():
+    # A frame whose payload arrives in two pieces is read whole.
+    frame = protocol.pack(protocol.KEY_UPLOAD, bytes(range(200)))
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        sender.sendall(frame[:100])
+
+        def finish():
+            time.sleep(0.05)
+            sender.sendall(frame[100:])
+
+        late = threading.Thread(target=finish)
+        late.start()
+        msg = protocol.recv_message(receiver)
+        late.join()
+    assert (msg.type, msg.payload) == (protocol.KEY_UPLOAD, bytes(range(200)))
+
+
+# ---------------------------------------------------------------------------
+# Malformed replies: the client checks each reply's size and residue.
+# ---------------------------------------------------------------------------
+
+class _TamperingServer(EvalServer):
+    """Replaces the payload of every reply of one type."""
+
+    def __init__(self, *args, tamper, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tamper = tamper
+
+    def _handle(self, msg, key):
+        reply, key = super()._handle(msg, key)
+        msg_type, payload = self.tamper
+        if reply[5] == msg_type:
+            reply = protocol.pack(msg_type, payload(reply[10:]))
+        return reply, key
+
+
+REPLY_CASES = {
+    "upload_ack_not_empty": (protocol.KEY_UPLOAD, lambda _: b"\x00", False,
+                             "payload bytes"),
+    "eval_resp_three_bytes": (protocol.EVAL_RESP,
+                              lambda _: (7).to_bytes(3, "big"), False,
+                              "payload bytes"),
+    "eval_residue_not_below_p": (protocol.EVAL_RESP,
+                                 lambda _: (7).to_bytes(2, "big"), False,
+                                 "not below p"),
+    "pir_resp_one_byte": (protocol.PIR_RESP, lambda _: b"\x01", True,
+                          "payload bytes"),
+    "pir_residue_not_below_p": (protocol.PIR_RESP,
+                                lambda ok: (7).to_bytes(2, "big") + ok[2:],
+                                True, "not below p"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLY_CASES))
+def test_malformed_reply_is_query_error(params_b, scheme_b, family_b8, case):
+    # Every server tampers alike, so no digest diverges.
+    msg_type, payload, pir, match = REPLY_CASES[case]
+    servers = [_TamperingServer(i, params_b, family_b8, scheme_b, [1] * 8,
+                                tamper=(msg_type, payload))
+               for i in range(2 * scheme_b.n)]
+    for server in servers:
+        server.start_background()
+    try:
+        with pytest.raises(QueryError, match=match):
+            run_query(_addresses(servers), params_b, family_b8, scheme_b,
+                      alpha=2, beta=1, seed=0,
+                      **({"pir": True} if pir else {"x": 2}))
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The calls a traced benchmark run wraps, counted on one in-process query.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pir", [False, True])
+def test_trace_contract(fleet, params_b, scheme_b, family_b8, monkeypatch,
+                        pir):
+    """One query calls keygen once and serialize_key once per key through
+    the client's globals, opens one connection per server, makes one
+    protocol.request per upload and per answer, and reads and writes
+    every frame through recv_message/send_message; each server parses
+    its key through server.deserialize_key, on one handler thread per
+    connection."""
+    servers, _ = fleet
+    n2 = len(servers)
+    counts = {}
+    handler_threads = {}        # client port -> server threads reading it
+    lock = threading.Lock()
+
+    def counted(owner, name, fn, on_call=None):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            with lock:
+                counts[name] = counts.get(name, 0) + 1
+                if on_call is not None:
+                    on_call(*args)
+            return out
+        monkeypatch.setattr(owner, name.rpartition(".")[2], call)
+
+    def handler_read(sock):
+        if threading.current_thread() is not threading.main_thread():
+            handler_threads.setdefault(sock.getpeername()[1], set()).add(
+                threading.get_ident())
+
+    counted(client_mod, "client.keygen", client_mod.keygen)
+    counted(client_mod, "client.serialize_key", client_mod.serialize_key)
+    counted(socket, "socket.create_connection", socket.create_connection)
+    counted(protocol, "protocol.request", protocol.request)
+    counted(server_mod, "server.deserialize_key", server_mod.deserialize_key)
+    counted(protocol, "protocol.recv_message", protocol.recv_message,
+            handler_read)
+    counted(protocol, "protocol.send_message", protocol.send_message)
+    result = run_query(_addresses(servers), params_b, family_b8, scheme_b,
+                       alpha=2, beta=1, seed=4,
+                       **({"pir": True} if pir else {"x": 2}))
+    assert result.value == (servers[0].db[1] if pir else 1)
+    # Four frames per connection.  A handler counts its last reply after
+    # the client may have read it, so wait for that count.
+    deadline = time.monotonic() + 5
+    while (counts.get("protocol.send_message", 0) < 4 * n2
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert counts == {
+        "client.keygen": 1, "client.serialize_key": n2,
+        "socket.create_connection": n2, "protocol.request": 2 * n2,
+        "server.deserialize_key": n2, "protocol.recv_message": 4 * n2,
+        "protocol.send_message": 4 * n2}
+    assert len(handler_threads) == n2
+    assert all(len(idents) == 1 for idents in handler_threads.values())
+    assert len(set().union(*handler_threads.values())) == n2
 
 
 # ---------------------------------------------------------------------------

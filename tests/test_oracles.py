@@ -260,7 +260,8 @@ def test_two_share_collusion_leaks_the_index(params_b, scheme_b, family_b8):
         return matches
 
     for alpha in (2, 7):
-        shares = make_shares(params_b, family_b8, scheme_b, alpha, blind)
+        shares = [tuple(map(fld.decode, share)) for share in
+                  make_shares(params_b, family_b8, scheme_b, alpha, blind)]
         assert identify(shares) == [alpha]   # colluding pair wins outright
 
 

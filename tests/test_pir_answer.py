@@ -8,6 +8,10 @@ the time) or a zero recovery coefficient, for rows whose entries are
 beyond 0 and 1 mod p (the identity holds for any rows, and every family
 built here has u mod p in {0, 1}), and on F_{11^6}, which is above TABLE_LIMIT and so must answer
 through Field products without building any full-field table.
+pir_answer and evaluate_all share one walk over the supports, so on
+F_{11^6}, where no other test reaches that walk's table-free branch,
+both are also checked against the FieldElement reference
+oracles.convert_share.
 """
 
 import random
@@ -22,6 +26,7 @@ from itdpf.dpf import (DpfKey, PointFunction, check_key, deserialize_key,
 from itdpf.field import TABLE_LIMIT, Field
 from itdpf.interpolation import build_scheme
 from itdpf.matching import MatchingFamily, product_family, trivial_family
+from itdpf.oracles import convert_share
 from itdpf.params import build_params
 
 SEEDS = range(5)
@@ -73,7 +78,6 @@ def test_answer_equals_full_domain_reference(request, fixture, basis_h):
 def test_zero_mask_entries_contribute_nothing(request, fixture):
     params = request.getfixturevalue(f"params_{fixture}")
     scheme = request.getfixturevalue(f"scheme_{fixture}")
-    fld = params.field
     for family in _families(params, 8):
         keys = keygen(params, family, scheme,
                       PointFunction(family.size, params.p, 2, 1),
@@ -81,7 +85,7 @@ def test_zero_mask_entries_contribute_nothing(request, fixture):
         db = _databases(params.p, family.size, 3)[0]
         for key in keys:
             for zeroed in ({0}, {1, family.h}, set(range(family.h + 1))):
-                mask = tuple(fld.zero if j in zeroed else w
+                mask = tuple(0 if j in zeroed else w
                              for j, w in enumerate(key.mask))
                 holed = DpfKey(key.index, mask, key.share)
                 check_key(params, scheme, family.h, holed)
@@ -167,3 +171,31 @@ def test_answer_above_table_limit_builds_no_table(big_field):
         assert deserialize_key(params, scheme.n,
                                serialize_key(params, key)) == key
     assert params.field._codecs == {}
+
+
+def _convert_reference(params, family, scheme, key, x):
+    fld = params.field
+    conv = convert_share(params, family, scheme, key.index % scheme.n, x,
+                         tuple(map(fld.decode, key.share)))
+    inner = fld.zero
+    for a, b in zip(key.mask, conv):
+        inner = inner + fld.decode(a) * b
+    return inner.constant_term
+
+
+def test_above_table_limit_matches_convert_share(big_field):
+    params, scheme = big_field
+    family = trivial_family(params.M, 4)
+    db = [3, 0, 5, 10]
+    with table_guard():
+        keys = keygen(params, family, scheme, PointFunction(4, 11, 3, 7),
+                      random.Random(1))
+        outputs = []
+        for key in keys:
+            expected = [_convert_reference(params, family, scheme, key, x)
+                        for x in range(1, 5)]
+            assert evaluate_all(params, family, scheme, key) == expected
+            assert pir_answer(params, family, scheme, key, db) == (
+                sum(d * y for d, y in zip(db, expected)) % 11)
+            outputs.append(expected)
+    assert [sum(col) % 11 for col in zip(*outputs)] == [0, 0, 7, 0]
