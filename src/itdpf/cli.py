@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import random
+import secrets
 import sys
 from pathlib import Path
 
@@ -333,9 +334,12 @@ def cmd_query(args) -> int:
         if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
             raise ParameterError(f"bad server address {part!r}")
         addresses.append((host, int(port)))
+    # A fixed default seed would give every query the same blind and
+    # mask, so two queries would tell one server both indices.
+    seed = secrets.randbits(128) if args.seed is None else args.seed
     try:
         result = client_mod.run_query(addresses, params, family, scheme,
-                                      args.alpha, args.beta, args.seed,
+                                      args.alpha, args.beta, seed,
                                       x=args.x, pir=args.pir)
     except (OSError, protocol.WireError) as exc:
         raise client_mod.QueryError(f"{type(exc).__name__}: {exc}") from exc
@@ -459,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated host:port list, one per key index")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="keygen seed, for a reproducible query; "
+                        "drawn from the OS when absent")
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--pir", action="store_true")
     p.set_defaults(func=cmd_query)

@@ -3,13 +3,15 @@
 Elements are tau-coefficient polynomials over Z_p reduced modulo the
 smallest monic irreducible zeta(X), stored constant term first.  For
 small fields (order <= 2**16) the constructor builds discrete-log tables
-over a fixed smallest generator, giving O(1) multiplication, inversion
-and powering; all elements are then interned so arithmetic allocates
-nothing.  The serving path works on integer encodings: it reads those
-tables (`log_exp`), multiplies with `mul_enc` and packs keys through
-per-field byte tables (`byte_codec`); above the limit `log_exp` and
-`byte_codec` return None, and callers use `mul_enc`'s polynomial product
-and struct packing.
+over a fixed smallest generator, giving O(1) multiplication and
+powering; all elements are then interned so arithmetic allocates
+nothing.  Inverse and multiplicative order go through `pow`, and `pow`
+above the limit through the one polynomial square-and-multiply.  The
+serving path works on integer encodings: it reads those tables
+(`log_exp`), multiplies with `mul_enc` and packs keys through per-field
+byte tables (`byte_codec`); above the limit `log_exp` and `byte_codec`
+return None, and callers use `mul_enc`'s polynomial product and struct
+packing.
 
 The additive output map used by the point-function scheme is
 ``constant_term``: it projects a field element onto its constant
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import struct
 
 from .errors import ParameterError
@@ -37,14 +38,7 @@ MAX_ORDER = 1 << 32     # field orders p**tau stay below this
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check; inputs here are small by design."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and factorize(n) == [n]
 
 
 def factorize(n: int) -> list[int]:
@@ -335,7 +329,7 @@ class Field:
             raise ParameterError(f"bad element string {text!r}") from exc
         if any(not 0 <= c < self.p for c in coeffs):
             raise ParameterError(f"coefficient out of range in {text!r}")
-        return self.decode(self.encode(coeffs))
+        return self.element(coeffs)
 
     # -- table construction -------------------------------------------------
 
@@ -353,14 +347,8 @@ class Field:
         return coeffs
 
     def _pow_enc_direct(self, a: int, e: int) -> int:
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self._mul_enc_direct(r, base)
-            base = self._mul_enc_direct(base, base)
-            e >>= 1
-        return r
+        return self.encode(_poly_powmod(self.decode_raw(a), e, self.zeta,
+                                        self.p))
 
     def _find_generator_enc(self) -> int:
         q1 = self.group_order
@@ -385,8 +373,7 @@ class Field:
         self._generator_enc = g
         self._exp = exp
         self._log = log
-        self._elems = [FieldElement(self, tuple(self.decode_raw(enc)), enc)
-                       for enc in range(self.order)]
+        self._elems = [self.decode(enc) for enc in range(self.order)]
 
     # -- integer access for the serving path ----------------------------------
 
@@ -420,29 +407,25 @@ class Field:
         if a.field.signature != self.signature:
             raise ParameterError("field element belongs to a different field")
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+    def _add_scaled(self, a: FieldElement, b: FieldElement,
+                    sign: int) -> FieldElement:
+        """a + sign*b coefficient-wise, sign = +-1; an XOR for p = 2."""
         self._check(a)
         self._check(b)
         if self.p == 2:
             return self.decode(a.enc ^ b.enc)
         p = self.p
-        coeffs = tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
-        return self.decode(self.encode(coeffs))
+        return self.decode(self.encode(
+            [(x + sign * y) % p for x, y in zip(a.coeffs, b.coeffs)]))
+
+    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return self._add_scaled(a, b, 1)
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a)
-        self._check(b)
-        if self.p == 2:
-            return self.decode(a.enc ^ b.enc)
-        p = self.p
-        coeffs = tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
-        return self.decode(self.encode(coeffs))
+        return self._add_scaled(a, b, -1)
 
     def neg(self, a: FieldElement) -> FieldElement:
-        if self.p == 2:
-            return a
-        coeffs = tuple((-x) % self.p for x in a.coeffs)
-        return self.decode(self.encode(coeffs))
+        return self._add_scaled(self.zero, a, -1)
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a)
@@ -459,12 +442,9 @@ class Field:
         return self._exp[(self._log[a] + self._log[b]) % self.group_order]
 
     def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
         if a.enc == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._log is not None:
-            return self._elems[self._exp[(-self._log[a.enc]) % self.group_order]]
-        return self.decode(self._pow_enc_direct(a.enc, self.group_order - 1))
+        return self.pow(a, -1)
 
     def pow(self, a: FieldElement, k: int) -> FieldElement:
         """a**k; for a != 0 the exponent is reduced mod the group order,
@@ -517,11 +497,9 @@ class Field:
     def element_order(self, a: FieldElement) -> int:
         if a.enc == 0:
             raise ParameterError("zero has no multiplicative order")
-        if self._log is not None:
-            return self.group_order // math.gcd(self._log[a.enc], self.group_order)
         order = self.group_order
-        for f in factorize(self.group_order):
-            while order % f == 0 and self._pow_enc_direct(a.enc, order // f) == 1:
+        for f in factorize(order):
+            while order % f == 0 and self.pow(a, order // f).enc == 1:
                 order //= f
         return order
 

@@ -26,7 +26,7 @@ from .dpf import (DpfKey, PointFunction, keygen, make_shares, serialize_key,
                   key_byte_length, KEY_HEADER_LEN)
 from .errors import FamilyViolationError
 from .field import FieldElement
-from .interpolation import InterpolationScheme
+from .interpolation import InterpolationScheme, hasse_monomial
 from .matching import MatchingFamily, dot_mod, trivial_family
 from .params import DpfParams
 
@@ -97,6 +97,19 @@ def convert_share(params: DpfParams, family: MatchingFamily,
     return tuple(out)
 
 
+def reference_output(params: DpfParams, family: MatchingFamily,
+                     scheme: InterpolationScheme, key: DpfKey, x: int) -> int:
+    """What dpf.evaluate_key(key, x) must return, in vector form: the
+    constant term of the mask's inner product with convert_share."""
+    fld = params.field
+    conv = convert_share(params, family, scheme, key.index % scheme.n, x,
+                         tuple(map(fld.decode, key.share)))
+    inner = fld.zero
+    for a, b in zip(key.mask, conv):
+        inner = inner + fld.decode(a) * b
+    return inner.constant_term
+
+
 def reduced_polynomial_table(params: DpfParams, family: MatchingFamily,
                              alpha: int, x: int,
                              blind: list[FieldElement]) -> dict[int, FieldElement]:
@@ -110,43 +123,24 @@ def reduced_polynomial_table(params: DpfParams, family: MatchingFamily,
     thereby certified end-to-end.
     """
     fld = params.field
-    v_alpha = family.v(alpha)
-    allowed = set(params.S_M)
-    table: dict[int, FieldElement] = {}
-    for j in range(1, family.size + 1):
-        if j != x:           # indicator database: f_j(x) = [j == x]
-            continue
-        u_j = family.u(j)
-        s = dot_mod(v_alpha, u_j, params.M)
-        term = fld.one
-        for i in range(family.h):
-            term = term * fld.pow(blind[i], u_j[i] % params.m)
-        table[s] = table.get(s, fld.zero) + term
+    u_x = family.u(x)       # indicator database: only row x contributes
+    s = dot_mod(family.v(alpha), u_x, params.M)
+    term = fld.one
+    for i in range(family.h):
+        term = term * fld.pow(blind[i], u_x[i] % params.m)
+    if not term.is_zero() and s not in params.S_M:
+        raise FamilyViolationError(
+            f"table coefficient at exponent {s} outside the canonical set "
+            f"(alpha={alpha}, x={x})")
+    return {s: term}
+
+
+def _table_hasse(params: DpfParams, table: dict[int, FieldElement], k: int,
+                 b: FieldElement) -> FieldElement:
+    """The order-k Hasse derivative of the table's polynomial at b."""
+    total = params.field.zero
     for s, c in table.items():
-        if not c.is_zero() and s not in allowed:
-            raise FamilyViolationError(
-                f"table coefficient at exponent {s} outside the canonical set "
-                f"(alpha={alpha}, x={x})")
-    return table
-
-
-def _table_eval(params: DpfParams, table: dict[int, FieldElement],
-                b: FieldElement) -> FieldElement:
-    fld = params.field
-    total = fld.zero
-    for s, c in table.items():
-        total = total + c * fld.pow(b, s % params.m)
-    return total
-
-
-def _table_derivative(params: DpfParams, table: dict[int, FieldElement],
-                      b: FieldElement) -> FieldElement:
-    fld = params.field
-    total = fld.zero
-    for s, c in table.items():
-        scalar = s % params.p
-        if scalar:
-            total = total + c * fld.const(scalar) * fld.pow(b, (s - 1) % params.m)
+        total = total + c * hasse_monomial(params, s, k, b)
     return total
 
 
@@ -180,8 +174,8 @@ def derivative_consistency_check(params: DpfParams, family: MatchingFamily,
         for v, factor in zip(v_alpha, factors):
             chain = chain + fld.const(v % params.p) * factor
 
-        table_value = _table_eval(params, table, b)
-        table_deriv = _table_derivative(params, table, b)
+        table_value = _table_hasse(params, table, 0, b)
+        table_deriv = _table_hasse(params, table, 1, b)
         report.cases += 2
         if table_value != value:
             report.failures.append(

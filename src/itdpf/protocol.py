@@ -45,7 +45,10 @@ ERROR_NAMES = {
 }
 
 _HEADER = 10
-MAX_PAYLOAD = 1 << 24
+# The largest valid frame is a KEY_UPLOAD at h = matching.MAX_H over F_{2^31}
+# (tau * width = 31 is the most that p <= MAX_P, p**tau < MAX_ORDER allow):
+# 7 + 2 * 1025 * 31 = 63,557 bytes.
+MAX_PAYLOAD = 1 << 16
 
 
 class WireError(Exception):

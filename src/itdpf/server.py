@@ -159,6 +159,8 @@ class EvalServer:
             if msg.type == protocol.EVAL_REQ:
                 return self._handle_eval(msg.payload, key), key
             if msg.type == protocol.PIR_REQ:
+                if msg.payload:
+                    raise ParameterError("PIR_REQ payload must be empty")
                 return self._handle_pir(key), key
             # Unknown type: answer with an error, keep the connection open.
             reply = protocol.error_message(

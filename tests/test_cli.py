@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import itdpf
+from itdpf import client as client_mod
 from itdpf.cli import main
 
 
@@ -250,6 +251,31 @@ def test_bench_table(binary_pipeline, capsys):
     assert info["affine_residual"] == 0
     assert [row["h"] for row in info["rows"]] == [2, 4, 8, 16, 32]
     assert all(row["ok"] for row in info["rows"])
+
+
+# ---------------------------------------------------------------------------
+# query
+# ---------------------------------------------------------------------------
+
+def test_query_draws_a_fresh_seed_unless_given(binary_pipeline, monkeypatch):
+    """A fixed default seed gave every seedless query the same blind and
+    mask, so one server could compare two queries' shares."""
+    seeds = []
+
+    def run_query(addresses, params, family, scheme, alpha, beta, seed,
+                  **kwargs):
+        seeds.append(seed)
+        return client_mod.QueryResult(0, ())
+
+    monkeypatch.setattr(client_mod, "run_query", run_query)
+    servers = ",".join(f"127.0.0.1:{9000 + i}" for i in range(6))
+    argv = ["query", "--servers", servers, "--alpha", "3", "--beta", "1",
+            "--x", "3", *(arg for name in ("params", "scheme", "family")
+                          for arg in (f"--{name}", binary_pipeline[name]))]
+    for extra in ([], [], ["--seed", "7"]):
+        assert main(argv + extra) == 0
+    assert seeds[0] != seeds[1]
+    assert seeds[2] == 7
 
 
 # ---------------------------------------------------------------------------

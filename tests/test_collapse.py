@@ -14,17 +14,7 @@ import pytest
 from itdpf.dpf import PointFunction, evaluate_all, evaluate_key, keygen
 from itdpf.matching import (MatchingFamily, certified_family, product_family,
                             trivial_family)
-from itdpf.oracles import convert_share
-
-
-def _reference(params, family, scheme, key, x):
-    fld = params.field
-    conv = convert_share(params, family, scheme, key.index % scheme.n, x,
-                         tuple(map(fld.decode, key.share)))
-    inner = fld.zero
-    for a, b in zip(key.mask, conv):
-        inner = inner + fld.decode(a) * b
-    return inner.constant_term
+from itdpf.oracles import reference_output
 
 
 def _assert_matches_reference(params, family, scheme, seeds):
@@ -36,7 +26,7 @@ def _assert_matches_reference(params, family, scheme, seeds):
         keys = keygen(params, family, scheme, func, rng)
         assert len(keys) == 2 * scheme.n
         for key in keys:
-            expected = [_reference(params, family, scheme, key, x)
+            expected = [reference_output(params, family, scheme, key, x)
                         for x in range(1, family.size + 1)]
             assert [evaluate_key(params, family, scheme, key, x)
                     for x in range(1, family.size + 1)] == expected

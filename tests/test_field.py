@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import itdpf
 from itdpf.errors import ParameterError
-from itdpf.field import (Field, draw_below, find_irreducible, is_irreducible,
-                         is_prime)
+from itdpf.field import (Field, draw_below, factorize, find_irreducible,
+                         is_irreducible, is_prime)
 
 F25 = Field(5, 2)          # zeta = X^2 + X + 1
 F5 = Field(5, 1)
@@ -173,13 +174,37 @@ def test_frobenius(field):
 
 
 def test_table_path_matches_direct_path():
-    # The log/exp fast path must agree with schoolbook reduction.
+    # The log/exp fast path must agree with schoolbook reduction, and the
+    # operations derived from pow with the log/exp formulas for them.
     for field in (F25, F512):
         rng = random.Random(3)
         for _ in range(300):
             a, b = field.random_elements(rng, 2)
             direct = field.decode(field._mul_enc_direct(a.enc, b.enc))
             assert a * b == direct
+        log, exp = field.log_exp
+        q1 = field.group_order
+        nonzero = (range(1, field.order) if field is F25
+                   else [enc for enc in draw_below(rng, field.order, 300)
+                         if enc])
+        for enc in nonzero:
+            a = field.decode(enc)
+            e = rng.randrange(2 * q1)
+            assert field.decode(field._pow_enc_direct(enc, e)) == a ** e
+            assert field.inv(a).enc == exp[-log[enc] % q1]
+            assert field.element_order(a) == q1 // math.gcd(log[enc], q1)
+
+
+def test_inverse_and_order_above_table_limit():
+    big = Field(11, 6)
+    assert big.log_exp is None
+    for a in big.random_elements(random.Random(4), 30):
+        if a.is_zero():
+            continue
+        assert a * big.inv(a) == big.one
+        order = big.element_order(a)
+        assert a ** order == big.one
+        assert all(a ** (order // f) != big.one for f in factorize(order))
 
 
 # ---------------------------------------------------------------------------

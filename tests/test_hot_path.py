@@ -29,7 +29,7 @@ from itdpf.errors import KeyParseError
 from itdpf.field import Field
 from itdpf.interpolation import build_scheme
 from itdpf.matching import MatchingFamily, product_family, trivial_family
-from itdpf.oracles import convert_share
+from itdpf.oracles import reference_output
 from itdpf.params import build_params
 
 
@@ -39,16 +39,6 @@ def wide():
     params = build_params((2,), 257)
     assert params.tau == 1 and coeff_width(params.p) == 2
     return params, build_scheme(params)
-
-
-def _reference(params, family, scheme, key, x):
-    fld = params.field
-    conv = convert_share(params, family, scheme, key.index % scheme.n, x,
-                         tuple(map(fld.decode, key.share)))
-    inner = fld.zero
-    for a, b in zip(key.mask, conv):
-        inner = inner + fld.decode(a) * b
-    return inner.constant_term
 
 
 class _DenseRowsUnread(tuple):
@@ -113,7 +103,7 @@ def test_query_path_without_field_pow_or_dense_rows(request, wide, fixture,
             answers = [pir_answer(params, family, scheme, key, db)
                        for key in parsed]
         assert parsed == keys and len(keys) == 2 * scheme.n
-        assert values == [[_reference(params, family, scheme, key, x)
+        assert values == [[reference_output(params, family, scheme, key, x)
                            for x in range(1, size + 1)] for key in keys]
         assert answers == [sum(d * y for d, y in zip(db, row)) % p
                            for row in values]

@@ -94,6 +94,22 @@ def test_malformed_upload_is_bad_request(server0, params_b, scheme_b,
             assert reply.error_name() == "NO_KEY"
 
 
+def test_pir_request_with_payload_is_bad_request(server0, params_b, scheme_b,
+                                                 family_b8):
+    key = serialize_key(params_b, _key0(params_b, scheme_b, family_b8))
+    with socket.create_connection(("127.0.0.1", server0.port)) as sock:
+        assert protocol.request(sock, protocol.KEY_UPLOAD,
+                                key).type == protocol.KEY_UPLOAD
+        for payload in (b"\x00", (1).to_bytes(4, "big")):
+            reply = protocol.request(sock, protocol.PIR_REQ, payload)
+            assert reply.type == protocol.ERROR
+            assert reply.error_name() == "BAD_REQUEST"
+            assert reply.payload[1:] == b"PIR_REQ payload must be empty"
+        # The connection stays open and keeps its key.
+        reply = protocol.request(sock, protocol.PIR_REQ)
+        assert reply.type == protocol.PIR_RESP
+
+
 def test_malformed_upload_keeps_previous_key(server0, params_b, scheme_b,
                                              family_b8):
     good = serialize_key(params_b, _key0(params_b, scheme_b, family_b8))

@@ -8,8 +8,10 @@ params.json, scheme.json and family.json are also fed with one int
 swapped for another int or one element string for another valid one;
 what loads must write back the original bytes.  A family file must be
 exactly the basis or the product family that its h and N rebuild.
-protocol.recv_message is fed arbitrary frames, and the server's request
-handler arbitrary types and payloads, byte-flipped keys among them; no
+protocol.recv_message is fed arbitrary frames, refuses a declared length
+above MAX_PAYLOAD before reading the body, and MAX_PAYLOAD holds the
+largest key that the size bounds allow.  The server's request handler
+is fed arbitrary types and payloads, byte-flipped keys among them; no
 request is answered ERR_INTERNAL.
 Generated numbers stay within [-4, 4], so no input can build a field
 above TABLE_LIMIT; the loaders are run under a guard that checks this.
@@ -28,6 +30,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -37,10 +40,11 @@ from hypothesis import strategies as st
 import itdpf
 from itdpf import protocol
 from itdpf.cli import main
-from itdpf.dpf import (PointFunction, deserialize_key, key_from_json,
-                       key_to_json, keygen, serialize_key)
+from itdpf.dpf import (PointFunction, deserialize_key, key_byte_length,
+                       key_from_json, key_to_json, keygen, serialize_key)
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
-from itdpf.field import TABLE_LIMIT, Field, find_irreducible, is_irreducible
+from itdpf.field import (MAX_ORDER, MAX_P, TABLE_LIMIT, Field,
+                         find_irreducible, is_irreducible, is_prime)
 from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
 from itdpf.matching import (MAX_H, MatchingFamily, certified_family,
                             family_from_json, family_to_json, trivial_family)
@@ -246,6 +250,35 @@ def test_recv_message_arbitrary_bytes(data):
     assert data[:5] == protocol.MAGIC + bytes([protocol.VERSION])
     assert (msg.type, msg.payload) == (data[5], data[10:10 + length])
     assert len(msg.payload) == length
+
+
+def test_largest_key_upload_fits_max_payload():
+    """The largest valid frame is a KEY_UPLOAD at h = MAX_H over the
+    field, within the size bounds, with the most key bytes per entry; a
+    handler buffers no frame of more than twice that."""
+    largest = 0
+    for p in filter(is_prime, range(2, MAX_P + 1)):
+        tau = 1
+        while p ** (tau + 1) < MAX_ORDER:
+            tau += 1
+        largest = max(largest, key_byte_length(SimpleNamespace(p=p, tau=tau),
+                                                MAX_H))
+    assert largest == 7 + 2 * 1025 * 31
+    assert largest <= protocol.MAX_PAYLOAD < 2 * largest
+    assert len(protocol.pack(protocol.KEY_UPLOAD, bytes(largest))) == (
+        10 + largest)
+
+
+def test_oversized_length_is_refused_before_the_body():
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        sender.sendall(protocol.MAGIC
+                       + bytes([protocol.VERSION, protocol.KEY_UPLOAD])
+                       + (protocol.MAX_PAYLOAD + 1).to_bytes(4, "big")
+                       + b"body")
+        with pytest.raises(protocol.WireError, match="too large"):
+            protocol.recv_message(receiver)
+        assert receiver.recv(16) == b"body"     # not one body byte read
 
 
 OWN_KEY = serialize_key(PARAMS, KEYS[SCHEME.n + 1])

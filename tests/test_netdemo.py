@@ -1,8 +1,11 @@
 import hashlib
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from itdpf.errors import ParameterError
 from itdpf.matching import product_family
 from itdpf.oracles import check_distribution_equality
 from itdpf.server import EvalServer, load_database
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -296,6 +301,39 @@ def test_trace_contract(fleet, params_b, scheme_b, family_b8, monkeypatch,
     assert len(handler_threads) == n2
     assert all(len(idents) == 1 for idents in handler_threads.values())
     assert len(set().union(*handler_threads.values())) == n2
+
+
+def test_bench_runs_against_this_source(tmp_path):
+    """bench/ imports, calls and patches itdpf names; a renamed function or
+    a changed signature must fail here, not only in a benchmark run.  In
+    a subprocess, so that the patches stay there: import bench/run.py,
+    install the traced server's wrappers, build one workload's artifacts
+    and run the in-process sweep on the odd fixture, turned down."""
+    script = "\n".join([
+        "import sys",
+        "from collections import defaultdict",
+        "from pathlib import Path",
+        f"sys.path.insert(0, {str(BENCH)!r})",
+        "import run, sweep, traced_server, tracing",
+        "traced_server.instrument(tracing.Recorder())",
+        "sweep.FIELD_OPS, sweep.FIELD_BATCHES, sweep.REPS = 50, 1, 1",
+        "sweep.EVALUATE_ALL_REPS, sweep.SWEEP_H = 1, (4,)",
+        "run.build_artifacts(run.WORKLOADS['point-odd-h64'], 0,",
+        "                    Path(sys.argv[1]), defaultdict(list))",
+        "print(' '.join(sorted(sweep.run_sweep(",
+        "    {'odd': run.FIXTURES['odd']}, 0))))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(
+        [f"field.{op}_ns.odd" for op in ("mul", "pow")]
+        + [f"dpf.{name}.odd.h4" for name in (
+            "keygen_ms", "evaluate_key_us", "evaluate_all_us_per_point",
+            "serialize_key_us", "deserialize_key_us")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "db.txt", "family.json", "params.json", "scheme.json"]
 
 
 # ---------------------------------------------------------------------------

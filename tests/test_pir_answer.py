@@ -26,7 +26,7 @@ from itdpf.dpf import (DpfKey, PointFunction, check_key, deserialize_key,
 from itdpf.field import TABLE_LIMIT, Field
 from itdpf.interpolation import build_scheme
 from itdpf.matching import MatchingFamily, product_family, trivial_family
-from itdpf.oracles import convert_share
+from itdpf.oracles import reference_output
 from itdpf.params import build_params
 
 SEEDS = range(5)
@@ -173,16 +173,6 @@ def test_answer_above_table_limit_builds_no_table(big_field):
     assert params.field._codecs == {}
 
 
-def _convert_reference(params, family, scheme, key, x):
-    fld = params.field
-    conv = convert_share(params, family, scheme, key.index % scheme.n, x,
-                         tuple(map(fld.decode, key.share)))
-    inner = fld.zero
-    for a, b in zip(key.mask, conv):
-        inner = inner + fld.decode(a) * b
-    return inner.constant_term
-
-
 def test_above_table_limit_matches_convert_share(big_field):
     params, scheme = big_field
     family = trivial_family(params.M, 4)
@@ -192,7 +182,7 @@ def test_above_table_limit_matches_convert_share(big_field):
                       random.Random(1))
         outputs = []
         for key in keys:
-            expected = [_convert_reference(params, family, scheme, key, x)
+            expected = [reference_output(params, family, scheme, key, x)
                         for x in range(1, 5)]
             assert evaluate_all(params, family, scheme, key) == expected
             assert pir_answer(params, family, scheme, key, db) == (
