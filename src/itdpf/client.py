@@ -52,6 +52,8 @@ _REPLY_SIZES = {protocol.KEY_UPLOAD: 0, protocol.EVAL_RESP: 2,
 
 def _expect(msg: protocol.Message, expected_type: int) -> protocol.Message:
     if msg.type == protocol.ERROR:
+        if not msg.payload:
+            raise QueryError("server error without an error code")
         raise QueryError(f"server error {msg.error_name()}: "
                          f"{msg.payload[1:].decode(errors='replace')}")
     if msg.type != expected_type:
@@ -71,12 +73,15 @@ def _residue(msg: protocol.Message, p: int) -> int:
 
 
 def run_query(addresses, params: DpfParams, family: MatchingFamily,
-              scheme: InterpolationScheme, alpha: int, beta: int, seed: int,
-              x: int | None = None, pir: bool = False) -> QueryResult:
+              scheme: InterpolationScheme, alpha: int, beta: int,
+              seed: int | None = None, x: int | None = None,
+              pir: bool = False) -> QueryResult:
     """Generate keys, upload them, and run one evaluation or PIR round.
 
     `addresses` must list exactly 2n (host, port) pairs, one per key
-    index in order.  Responses are summed mod p.  A reply of the wrong
+    index in order.  Keygen draws from random.SystemRandom; a seed
+    gives the keys of random.Random(seed) instead, to reproduce a query.
+    Responses are summed mod p.  An error reply, a reply of the wrong
     type or size, or a residue not below p, raises QueryError.
     """
     if (x is None) == (not pir):
@@ -89,7 +94,8 @@ def run_query(addresses, params: DpfParams, family: MatchingFamily,
     if x is not None and not 1 <= x <= family.size:
         raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
 
-    keys = keygen(params, family, scheme, func, random.Random(seed))
+    rng = random.SystemRandom() if seed is None else random.Random(seed)
+    keys = keygen(params, family, scheme, func, rng)
     socks = _connect_all(addresses)
     try:
         for sock, key in zip(socks, keys):

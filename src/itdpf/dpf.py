@@ -9,12 +9,13 @@ masks.  Key i = n*j + l pairs mask j with share l and holds exactly its
 wire form: the index, the mask vector and the share vector (h blinded
 subgroup elements, then the interpolation point), each entry a field
 element's integer encoding.  The slot l = i mod n is derived, never
-stored, and this module alone knows the layout.  A server holding key i
-evaluates any input x locally as one monomial in its share entries
+stored, and this module alone knows the key layout; each element's
+byte form is the field's (Field.pack, Field.unpack).  A server holding
+key i evaluates any input x locally as one monomial in its share entries
 times one linear form in its mask, both over the support of u_x,
 projected onto the constant coefficient, which is enc mod p.  Each
 product is a log/exp lookup on encodings (Field.mul_enc above
-TABLE_LIMIT), so keygen, the codec and the query path build no
+TABLE_LIMIT), so keygen, serialization and the query path build no
 FieldElement; the JSON form decodes at its boundary.  This is the
 collapsed form of the share conversion whose vector form lives in the
 oracles as the reference.  evaluate_key, evaluate_all and pir_answer
@@ -32,14 +33,12 @@ rng.randrange call per residue, so a seeded rng reproduces keys exactly.
 
 from __future__ import annotations
 
-import functools
-import struct
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 
 from .errors import ArtifactMismatchError, KeyParseError, ParameterError
-from .field import FieldElement, draw_below
+from .field import FieldElement, coeff_width, draw_below
 from .interpolation import InterpolationScheme
 from .matching import MAX_H, MatchingFamily
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
@@ -122,8 +121,8 @@ def keygen(params: DpfParams, family: MatchingFamily,
     carries (mask_j, share_l).  blind^{-u_alpha} is H at minus the sum
     of u_i * log(blind_i) over the support of u_alpha.  A residue r
     encodes as r, so the target takes one product per distinct residue.
-    mask0's residues are packed and parsed like a key body; mask1 is an
-    XOR of encodings for p = 2, coefficient-wise otherwise.
+    mask0 is the drawn residues read as elements (Field.from_residues);
+    mask1 is an XOR of encodings for p = 2, coefficient-wise otherwise.
     """
     _check_context(params, family, scheme)
     if func.domain_size != family.size:
@@ -145,14 +144,14 @@ def keygen(params: DpfParams, family: MatchingFamily,
     target = [scaled] + [by_residue[r] for r in residues]
 
     drawn = draw_below(rng, p, (h + 1) * params.tau)
-    mask0 = _elements(params, _pack(p, drawn), 0)
+    mask0 = fld.from_residues(drawn)
     if p == 2:
         mask1 = tuple(t ^ o for t, o in zip(target, mask0))
     else:
         digits = {t: fld.decode_raw(t) for t in set(target)}
         flat = [c for t in target for c in digits[t]]
         diff = [(c - o) % p for c, o in zip(flat, drawn)]
-        mask1 = _elements(params, _pack(p, diff), 0)
+        mask1 = fld.from_residues(diff)
 
     n = scheme.n
     return [DpfKey(index=n * half + slot, mask=mask, share=shares[slot])
@@ -260,76 +259,16 @@ def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,
 # Serialization: compact binary form (wire) and canonical JSON (artifacts).
 # ---------------------------------------------------------------------------
 
-def coeff_width(p: int) -> int:
-    """Bytes per coefficient: residues mod p packed little-endian."""
-    return ((p - 1).bit_length() + 7) // 8
-
-
 def key_byte_length(params: DpfParams, h: int) -> int:
     """Exact serialized size: header + 2*(h+1)*tau*width."""
     return KEY_HEADER_LEN + 2 * (h + 1) * params.tau * coeff_width(params.p)
 
 
-def _coeff_format(p: int, count: int) -> str:
-    """struct format of `count` packed coefficients mod p."""
-    return f"<{count}{'B' if coeff_width(p) == 1 else 'H'}"
-
-
-def _pack(p: int, coeffs) -> bytes:
-    return struct.pack(_coeff_format(p, len(coeffs)), *coeffs)
-
-
-@functools.lru_cache(maxsize=16)
-def _slicer(size: int, count: int) -> struct.Struct:
-    """Splits `count` consecutive elements of `size` bytes each."""
-    return struct.Struct(f"{size}s" * count)
-
-
-def _out_of_range(data: bytes, p: int, start: int) -> KeyParseError:
-    """The error for the first coefficient >= p in data[start:], at its
-    byte offset."""
-    width = coeff_width(p)
-    coeffs = struct.unpack_from(
-        _coeff_format(p, (len(data) - start) // width), data, start)
-    k = next(k for k, c in enumerate(coeffs) if c >= p)
-    return KeyParseError(f"coefficient {coeffs[k]} out of range",
-                         start + k * width)
-
-
-def _elements(params: DpfParams, data: bytes,
-              start: int) -> tuple[int, ...]:
-    """The encodings of the packed elements that fill data[start:];
-    KeyParseError at the first coefficient >= p.  Without byte tables
-    (above TABLE_LIMIT) the coefficients are unpacked and encoded."""
-    fld, p, tau = params.field, params.p, params.tau
-    width = coeff_width(p)
-    codec = fld.byte_codec(width)
-    if codec is None:
-        coeffs = struct.unpack_from(
-            _coeff_format(p, (len(data) - start) // width), data, start)
-        if max(coeffs) >= p:
-            raise _out_of_range(data, p, start)
-        return tuple(fld.encode(coeffs[k:k + tau])
-                     for k in range(0, len(coeffs), tau))
-    size = tau * width
-    slicer = _slicer(size, (len(data) - start) // size)
-    encs = tuple(map(codec[1].get, slicer.unpack_from(data, start)))
-    if None in encs:    # a slice holding a coefficient >= p
-        raise _out_of_range(data, p, start + encs.index(None) * size)
-    return encs
-
-
 def serialize_key(params: DpfParams, key: DpfKey) -> bytes:
     """Binary form: magic, version, 2-byte index, then the mask and share
-    vectors as packed little-endian coefficient arrays."""
+    vectors in the field's byte form (Field.pack)."""
     header = KEY_MAGIC + bytes([KEY_VERSION]) + key.index.to_bytes(2, "big")
-    elems = key.mask + key.share
-    fld = params.field
-    codec = fld.byte_codec(coeff_width(params.p))
-    if codec is None:
-        return header + _pack(params.p, [c for e in elems
-                                         for c in fld.decode_raw(e)])
-    return header + b"".join(map(codec[0].__getitem__, elems))
+    return header + params.field.pack(key.mask + key.share)
 
 
 def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
@@ -353,7 +292,7 @@ def deserialize_key(params: DpfParams, n: int, data: bytes) -> DpfKey:
     if per_vector > MAX_H + 1:
         raise KeyParseError("key body too long for any family", len(data))
 
-    encs = _elements(params, data, KEY_HEADER_LEN)
+    encs = params.field.unpack(data, KEY_HEADER_LEN)
     if not 0 <= index < 2 * n:
         raise ParameterError(f"key index {index} outside [0, {2 * n})")
     return DpfKey(index=index, mask=encs[:per_vector],

@@ -8,10 +8,14 @@ powering; all elements are then interned so arithmetic allocates
 nothing.  Inverse and multiplicative order go through `pow`, and `pow`
 above the limit through the one polynomial square-and-multiply.  The
 serving path works on integer encodings: it reads those tables
-(`log_exp`), multiplies with `mul_enc` and packs keys through per-field
-byte tables (`byte_codec`); above the limit `log_exp` and `byte_codec`
-return None, and callers use `mul_enc`'s polynomial product and struct
-packing.
+(`log_exp`) and multiplies with `mul_enc`; above the limit `log_exp`
+returns None and callers use `mul_enc`'s polynomial product.
+
+The field alone defines an element's byte form: its tau coefficients,
+constant term first, each `coeff_width(p)` bytes little-endian.  `pack`,
+`unpack` and `from_residues` map encodings to and from it through byte
+tables built on first use, or above the limit through one struct call
+for the coefficients; the bytes are the same either way.
 
 The additive output map used by the point-function scheme is
 ``constant_term``: it projects a field element onto its constant
@@ -24,7 +28,7 @@ import functools
 import itertools
 import struct
 
-from .errors import ParameterError
+from .errors import KeyParseError, ParameterError
 
 # Above this order we skip table construction; arithmetic falls back to
 # direct polynomial operations (correct, just slower).  Tables cost about
@@ -54,6 +58,22 @@ def factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def coeff_width(p: int) -> int:
+    """Bytes per coefficient: residues mod p packed little-endian."""
+    return ((p - 1).bit_length() + 7) // 8
+
+
+def _coeff_format(width: int, count: int) -> str:
+    """struct format of `count` packed coefficients of `width` bytes."""
+    return f"<{count}{'B' if width == 1 else 'H'}"
+
+
+@functools.lru_cache(maxsize=16)
+def _slicer(size: int, count: int) -> struct.Struct:
+    """Splits `count` consecutive elements of `size` bytes each."""
+    return struct.Struct(f"{size}s" * count)
 
 
 @functools.cache
@@ -282,12 +302,13 @@ class Field:
         self.order = p ** tau
         self.group_order = self.order - 1
         self.signature = (p, tau, self.zeta)
+        self.width = coeff_width(p)
 
         self._elems: list[FieldElement] | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._generator_enc: int | None = None
-        self._codecs: dict[int, tuple[list[bytes], dict[bytes, int]]] = {}
+        self._codec: tuple[list[bytes], dict[bytes, int]] | None = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         self.zero = self.decode(0)
@@ -384,22 +405,62 @@ class Field:
         k in [0, group_order)), and log[0] = -1."""
         return None if self._log is None else (self._log, self._exp)
 
-    def byte_codec(self, width: int
-                   ) -> tuple[list[bytes], dict[bytes, int]] | None:
+    # -- byte form -------------------------------------------------------------
+
+    def _byte_tables(self) -> tuple[list[bytes], dict[bytes, int]] | None:
         """(pack, unpack), or None above TABLE_LIMIT: pack[enc] is the
-        element's tau coefficients, constant term first, each `width`
-        bytes little-endian, and unpack maps those bytes back to enc.
-        Built on first use per width; two threads racing there build
-        equal tables, and either one is kept."""
+        element's byte form and unpack maps those bytes back to enc.
+        Built on first use; two threads racing there build equal tables,
+        and either one is kept."""
         if self._elems is None:
             return None
-        codec = self._codecs.get(width)
-        if codec is None:
-            pack = [b"".join(c.to_bytes(width, "little") for c in e.coeffs)
+        if self._codec is None:
+            w = self.width
+            pack = [b"".join(c.to_bytes(w, "little") for c in e.coeffs)
                     for e in self._elems]
-            codec = (pack, {b: enc for enc, b in enumerate(pack)})
-            self._codecs[width] = codec
-        return codec
+            self._codec = (pack, {b: enc for enc, b in enumerate(pack)})
+        return self._codec
+
+    def _pack_residues(self, residues) -> bytes:
+        return struct.pack(_coeff_format(self.width, len(residues)),
+                           *residues)
+
+    def pack(self, encs) -> bytes:
+        """The byte forms of a sequence of encodings, concatenated."""
+        tables = self._byte_tables()
+        if tables is None:
+            return self._pack_residues(
+                [c for e in encs for c in self.decode_raw(e)])
+        return b"".join(map(tables[0].__getitem__, encs))
+
+    def unpack(self, data: bytes, start: int) -> tuple[int, ...]:
+        """The encodings of the packed elements that fill data[start:];
+        KeyParseError at the byte offset of the first coefficient >= p."""
+        size = self.tau * self.width
+        count = (len(data) - start) // size
+        tables = self._byte_tables()
+        if tables is not None:
+            encs = tuple(map(tables[1].get,
+                             _slicer(size, count).unpack_from(data, start)))
+            if None not in encs:    # else a slice holds a coefficient >= p
+                return encs
+        coeffs = struct.unpack_from(
+            _coeff_format(self.width, count * self.tau), data, start)
+        if max(coeffs, default=0) >= self.p:
+            k = next(k for k, c in enumerate(coeffs) if c >= self.p)
+            raise KeyParseError(f"coefficient {coeffs[k]} out of range",
+                                start + k * self.width)
+        return self.from_residues(coeffs)
+
+    def from_residues(self, residues) -> tuple[int, ...]:
+        """The encodings of consecutive elements given as tau residues
+        mod p each, constant term first: their byte form read back
+        through the tables, or encoded one by one above TABLE_LIMIT."""
+        if self._byte_tables() is None:
+            tau = self.tau
+            return tuple(self.encode(residues[k:k + tau])
+                         for k in range(0, len(residues), tau))
+        return self.unpack(self._pack_residues(residues), 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -511,10 +572,8 @@ class Field:
     def random_elements(self, rng, count: int) -> list[FieldElement]:
         """`count` uniform elements; draws tau residues mod p per element,
         in coefficient order, through draw_below."""
-        tau = self.tau
-        residues = draw_below(rng, self.p, count * tau)
-        return [self.decode(self.encode(residues[k:k + tau]))
-                for k in range(0, len(residues), tau)]
+        residues = draw_below(rng, self.p, count * self.tau)
+        return list(map(self.decode, self.from_residues(residues)))
 
     def __repr__(self):
         return f"Field(p={self.p}, tau={self.tau}, zeta={list(self.zeta)})"

@@ -208,8 +208,8 @@ def scheme_to_json(scheme: InterpolationScheme) -> bytes:
 
 def scheme_from_json(params: DpfParams, data: bytes) -> InterpolationScheme:
     """Rebuild the scheme from the file's B_logs and mult1; every other
-    field must be what scheme_to_json writes for it.  Whether mult1
-    interpolates is the certificate's question (verify_scheme)."""
+    field must be what scheme_to_json writes for it, and mult1 must pass
+    the certificate's monomial rows (verify_scheme)."""
     obj = parse_artifact(data, "scheme")
     with artifact_fields("scheme"):
         point_logs = obj["B_logs"]
@@ -220,4 +220,8 @@ def scheme_from_json(params: DpfParams, data: bytes) -> InterpolationScheme:
             params, point_logs,
             [params.field.parse_element(a) for a in obj["mult1"]])
     require_rebuilt(obj, scheme_to_json(scheme), "scheme")
+    cert = verify_scheme(params, scheme, random_polynomials=0)
+    if not cert.ok:
+        raise ParameterError(
+            f"scheme file fails its certificate at s={list(cert.failed_exponents)}")
     return scheme

@@ -3,9 +3,10 @@
 A family of N pairs (u_i, v_i) in Z_M^h indexes the point-function
 domain: self dot products vanish mod M, and every cross product lands
 in the canonical set minus zero.  Domain indices are 1-based at the API
-boundary (alpha, x in [1, N]); the accessors `u` and `v` are the single
-place where they convert to 0-based storage.  `supports` is the sparse
-view of U that evaluation and certification iterate.
+boundary (alpha, x in [1, N]) and 0-based in storage: the accessors `u`
+and `v` convert them, and so do dpf.keygen and dpf.evaluate_key, which
+read `supports[alpha - 1]` and `supports[x - 1]`.  `supports` is the
+sparse view of U that evaluation and certification iterate.
 """
 
 from __future__ import annotations

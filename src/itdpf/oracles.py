@@ -267,10 +267,9 @@ def check_distribution_equality(params: DpfParams, family: MatchingFamily,
             share = make_shares(params, family, scheme, func.alpha,
                                 list(blind))[slot]
             if as_bytes:
-                # The wire serializer's body for a key without a mask:
-                # exactly the share bytes a server receives in its upload.
-                out.append(serialize_key(params, DpfKey(0, (), share))
-                           [KEY_HEADER_LEN:])
+                # The share's byte form, exactly as a server receives it
+                # in its upload.
+                out.append(fld.pack(share))
             else:
                 out.append(share)
         out.sort()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -259,7 +260,8 @@ def test_bench_table(binary_pipeline, capsys):
 
 def test_query_draws_a_fresh_seed_unless_given(binary_pipeline, monkeypatch):
     """A fixed default seed gave every seedless query the same blind and
-    mask, so one server could compare two queries' shares."""
+    mask, so one server could compare two queries' shares; a seedless
+    query passes no seed, and run_query draws from the OS."""
     seeds = []
 
     def run_query(addresses, params, family, scheme, alpha, beta, seed,
@@ -274,8 +276,31 @@ def test_query_draws_a_fresh_seed_unless_given(binary_pipeline, monkeypatch):
                           for arg in (f"--{name}", binary_pipeline[name]))]
     for extra in ([], [], ["--seed", "7"]):
         assert main(argv + extra) == 0
-    assert seeds[0] != seeds[1]
+    assert seeds[0] is None and seeds[1] is None
     assert seeds[2] == 7
+
+
+def test_query_keygen_draws_from_the_os_unless_seeded(binary_pipeline,
+                                                      monkeypatch, capsys):
+    """A seeded Mersenne Twister makes the key set a function of its seed;
+    keygen gets SystemRandom unless --seed is given."""
+    rngs = []
+
+    def keygen(params, family, scheme, func, rng):
+        rngs.append((type(rng), rng.getstate() if type(rng) is random.Random
+                     else None))
+        raise client_mod.QueryError("stop before connecting")
+
+    monkeypatch.setattr(client_mod, "keygen", keygen)
+    servers = ",".join(f"127.0.0.1:{9000 + i}" for i in range(6))
+    argv = ["query", "--servers", servers, "--alpha", "3", "--beta", "1",
+            "--x", "3", *(arg for name in ("params", "scheme", "family")
+                          for arg in (f"--{name}", binary_pipeline[name]))]
+    for extra in ([], ["--seed", "7"]):
+        assert main(argv + extra) == 1
+    assert "stop before connecting" in capsys.readouterr().err
+    assert rngs == [(random.SystemRandom, None),
+                    (random.Random, random.Random(7).getstate())]
 
 
 # ---------------------------------------------------------------------------

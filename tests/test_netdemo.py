@@ -241,6 +241,30 @@ def test_malformed_reply_is_query_error(params_b, scheme_b, family_b8, case):
             server.shutdown()
 
 
+class _EmptyErrorServer(EvalServer):
+    """Answers every request with an ERROR frame that holds no code."""
+
+    def _handle(self, msg, key):
+        _, key = super()._handle(msg, key)
+        return protocol.pack(protocol.ERROR), key
+
+
+def test_empty_error_reply_is_query_error(params_b, scheme_b, family_b8):
+    """error_name() of an empty ERROR payload raises WireError, which
+    escaped run_query instead of the QueryError it promises."""
+    servers = [_EmptyErrorServer(i, params_b, family_b8, scheme_b, [1] * 8)
+               for i in range(2 * scheme_b.n)]
+    for server in servers:
+        server.start_background()
+    try:
+        with pytest.raises(QueryError, match="without an error code"):
+            run_query(_addresses(servers), params_b, family_b8, scheme_b,
+                      alpha=2, beta=1, seed=0, pir=True)
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # The calls a traced benchmark run wraps, counted on one in-process query.
 # ---------------------------------------------------------------------------

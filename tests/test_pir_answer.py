@@ -133,20 +133,20 @@ def test_rows_beyond_zero_and_one_mod_p(request, fixture):
 def table_guard():
     """Fail if a field above TABLE_LIMIT builds its log tables or a byte
     codec inside the block."""
-    build, codec = Field._build_tables, Field.byte_codec
+    build, codec = Field._build_tables, Field._byte_tables
 
     def guarded_build(self):
         assert self.order <= TABLE_LIMIT, f"tables of order {self.order}"
         build(self)
 
-    def guarded_codec(self, width):
-        tables = codec(self, width)
+    def guarded_codec(self):
+        tables = codec(self)
         assert tables is None or self.order <= TABLE_LIMIT, (
             f"byte codec of order {self.order}")
         return tables
 
     with mock.patch.object(Field, "_build_tables", guarded_build), \
-            mock.patch.object(Field, "byte_codec", guarded_codec):
+            mock.patch.object(Field, "_byte_tables", guarded_codec):
         yield
 
 
@@ -170,7 +170,7 @@ def test_answer_above_table_limit_builds_no_table(big_field):
                      random.Random(0))[0]
         assert deserialize_key(params, scheme.n,
                                serialize_key(params, key)) == key
-    assert params.field._codecs == {}
+    assert params.field._codec is None
 
 
 def test_above_table_limit_matches_convert_share(big_field):

@@ -4,7 +4,8 @@ The loader rebuilds params from (primes, p, tau) and a scheme from
 (B_logs, mult1), and accepts a file only when it is exactly what the
 writer produces for the rebuilt object.  A file that is consistent in
 itself but not the canonical derivation (another irreducible zeta,
-another generator, another n_target, an extra field) exits 2.
+another generator, another n_target, an extra field) exits 2, and so
+does a scheme whose mult1 fails the certificate.
 """
 
 import json
@@ -15,7 +16,8 @@ import pytest
 from itdpf.cli import main
 from itdpf.errors import ParameterError
 from itdpf.field import _poly_powmod, is_irreducible
-from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
+from itdpf.interpolation import (_lifted_scheme, build_scheme,
+                                 scheme_from_json, scheme_to_json)
 from itdpf.params import build_params, params_from_json, params_to_json
 
 # r = 1..3 prime factors of m, p = 2..13, and F_{11^6} (primes 3, 7 and
@@ -122,3 +124,41 @@ def test_scheme_rejects_negative_log():
     obj["B_logs"][-1] -= params.m
     with pytest.raises(ParameterError, match=r"outside \[0, m\)"):
         scheme_from_json(params, json.dumps(obj).encode())
+
+
+def _non_interpolating_scheme(params):
+    """scheme.json with mult1[0] raised by one and A lifted from the new
+    mult1: the closed form holds, so the rebuild writes the same file
+    back, but the coefficients no longer sum to 1 at s = 0."""
+    scheme = build_scheme(params)
+    mult1 = [a0 for a0, _ in scheme.coeffs]
+    mult1[0] = mult1[0] + params.field.one
+    return scheme_to_json(_lifted_scheme(params, scheme.point_logs, mult1))
+
+
+def test_scheme_load_checks_the_certificate(tmp_path, capsys):
+    params = build_params([2, 3], 5)
+    data = _non_interpolating_scheme(params)
+    with pytest.raises(ParameterError, match=r"fails its certificate at s="):
+        scheme_from_json(params, data)
+
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("params", "scheme", "family")}
+    assert main(["params", "--primes", "2,3", "--p", "5",
+                 "--out", paths["params"]]) == 0
+    assert main(["scheme", "--params", paths["params"],
+                 "--out", paths["scheme"]]) == 0
+    assert main(["family", "--params", paths["params"], "--h", "4",
+                 "--out", paths["family"]]) == 0
+    artifacts = [arg for name, path in paths.items()
+                 for arg in (f"--{name}", path)]
+    assert main(["keygen", *artifacts, "--alpha", "2", "--beta", "1",
+                 "--seed", "0", "--outdir", str(tmp_path / "keys")]) == 0
+    key = str(next((tmp_path / "keys").glob("key_*.json")))
+    with open(paths["scheme"], "wb") as fh:
+        fh.write(data)
+    capsys.readouterr()
+    assert main(["eval", "--key", key, "--x", "1", *artifacts]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and err.count("\n") == 1
+    assert "fails its certificate" in err
