@@ -207,6 +207,8 @@ def _verify_keys(params, family, scheme, digest, key_paths, reports):
 
 
 def cmd_verify(args) -> int:
+    if args.checks < 0 or args.budget < 0:
+        raise ParameterError("--checks and --budget must be >= 0")
     params, digest, scheme, family = _load_artifacts(args)
     rng = random.Random(args.seed)
     reports: list[oracles.OracleReport] = []
@@ -292,6 +294,8 @@ def cmd_bench(args) -> int:
     params, _ = _load_params(args.params)
     scheme = interpolation.scheme_from_json(params, _read(args.scheme))
     h_values = _parse_int_list(args.h_values)
+    if not h_values:
+        raise ParameterError("--h-values lists no h")
     audits = oracles.key_size_sweep(params, scheme, h_values)
     slope = 2 * params.tau * dpf.coeff_width(params.p)
     print(f"{'h':>6} {'measured':>10} {'formula':>10} {'ok':>4}")

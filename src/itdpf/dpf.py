@@ -42,7 +42,7 @@ from .field import FieldElement, coeff_width, draw_below
 from .interpolation import InterpolationScheme
 from .matching import MAX_H, MatchingFamily
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
-                     parse_artifact)
+                     parse_artifact, require_rebuilt)
 
 KEY_MAGIC = b"IDPF"
 KEY_VERSION = 1
@@ -318,20 +318,20 @@ def key_to_json(params: DpfParams, n: int, key: DpfKey,
 def key_from_json(params: DpfParams, n: int, data: bytes,
                   expected_digest: str | None = None) -> DpfKey:
     """Parse the JSON form; n is the scheme size.  The index must lie in
-    [0, 2n) and j, ell must equal divmod(i, n)."""
+    [0, 2n), and the file must be exactly what key_to_json writes for
+    the key read from it."""
     obj = parse_artifact(data, "key")
     if expected_digest is not None and obj.get("params_digest") != expected_digest:
         raise ArtifactMismatchError(
             "key params_digest does not match the params file")
     fld = params.field
     with artifact_fields("key"):
-        index, layout = obj["i"], [obj["j"], obj["ell"]]
+        index, digest = obj["i"], obj["params_digest"]
         mask = tuple(fld.parse_element(s).enc for s in obj["omega"])
         share = tuple(fld.parse_element(s).enc for s in obj["c"])
     if type(index) is not int or not 0 <= index < 2 * n:
         raise ParameterError(
             f"key index {index!r} is not an integer in [0, {2 * n})")
-    if layout != list(divmod(index, n)):
-        raise ParameterError(
-            f"key j, ell = {layout} disagree with i={index} for n={n}")
-    return DpfKey(index=index, mask=mask, share=share)
+    key = DpfKey(index=index, mask=mask, share=share)
+    require_rebuilt(obj, key_to_json(params, n, key, digest), "key")
+    return key

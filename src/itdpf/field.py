@@ -12,10 +12,11 @@ serving path works on integer encodings: it reads those tables
 returns None and callers use `mul_enc`'s polynomial product.
 
 The field alone defines an element's byte form: its tau coefficients,
-constant term first, each `coeff_width(p)` bytes little-endian.  `pack`,
-`unpack` and `from_residues` map encodings to and from it through byte
-tables built on first use, or above the limit through one struct call
-for the coefficients; the bytes are the same either way.
+constant term first, each `coeff_width(p)` bytes little-endian, one
+struct packing.  `pack`, `unpack` and `from_residues` map encodings to
+and from it through byte tables of that packing built with the log
+tables, or above the limit through struct.  A field is complete once
+constructed and never writes to itself, so threads share it unlocked.
 
 The additive output map used by the point-function scheme is
 ``constant_term``: it projects a field element onto its constant
@@ -304,11 +305,8 @@ class Field:
         self.signature = (p, tau, self.zeta)
         self.width = coeff_width(p)
 
-        self._elems: list[FieldElement] | None = None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._generator_enc: int | None = None
-        self._codec: tuple[list[bytes], dict[bytes, int]] | None = None
+        self._generator_enc = self._find_generator_enc()
+        self._elems = self._exp = self._log = self._codec = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         self.zero = self.decode(0)
@@ -380,7 +378,7 @@ class Field:
         raise AssertionError("unreachable: F* is cyclic")
 
     def _build_tables(self):
-        g = self._find_generator_enc()
+        g = self._generator_enc
         q1 = self.group_order
         exp = [0] * q1
         log = [-1] * self.order
@@ -391,10 +389,13 @@ class Field:
             cur = self._mul_enc_direct(cur, g)
         if cur != 1:
             raise AssertionError("generator order mismatch; zeta not irreducible?")
-        self._generator_enc = g
         self._exp = exp
         self._log = log
         self._elems = [self.decode(enc) for enc in range(self.order)]
+        # (pack, unpack): pack[enc] is the element's byte form, unpack
+        # maps those bytes back to enc.
+        pack = [self._pack_residues(e.coeffs) for e in self._elems]
+        self._codec = (pack, {b: enc for enc, b in enumerate(pack)})
 
     # -- integer access for the serving path ----------------------------------
 
@@ -407,40 +408,24 @@ class Field:
 
     # -- byte form -------------------------------------------------------------
 
-    def _byte_tables(self) -> tuple[list[bytes], dict[bytes, int]] | None:
-        """(pack, unpack), or None above TABLE_LIMIT: pack[enc] is the
-        element's byte form and unpack maps those bytes back to enc.
-        Built on first use; two threads racing there build equal tables,
-        and either one is kept."""
-        if self._elems is None:
-            return None
-        if self._codec is None:
-            w = self.width
-            pack = [b"".join(c.to_bytes(w, "little") for c in e.coeffs)
-                    for e in self._elems]
-            self._codec = (pack, {b: enc for enc, b in enumerate(pack)})
-        return self._codec
-
     def _pack_residues(self, residues) -> bytes:
         return struct.pack(_coeff_format(self.width, len(residues)),
                            *residues)
 
     def pack(self, encs) -> bytes:
         """The byte forms of a sequence of encodings, concatenated."""
-        tables = self._byte_tables()
-        if tables is None:
+        if self._codec is None:
             return self._pack_residues(
                 [c for e in encs for c in self.decode_raw(e)])
-        return b"".join(map(tables[0].__getitem__, encs))
+        return b"".join(map(self._codec[0].__getitem__, encs))
 
     def unpack(self, data: bytes, start: int) -> tuple[int, ...]:
         """The encodings of the packed elements that fill data[start:];
         KeyParseError at the byte offset of the first coefficient >= p."""
         size = self.tau * self.width
         count = (len(data) - start) // size
-        tables = self._byte_tables()
-        if tables is not None:
-            encs = tuple(map(tables[1].get,
+        if self._codec is not None:
+            encs = tuple(map(self._codec[1].get,
                              _slicer(size, count).unpack_from(data, start)))
             if None not in encs:    # else a slice holds a coefficient >= p
                 return encs
@@ -456,7 +441,7 @@ class Field:
         """The encodings of consecutive elements given as tau residues
         mod p each, constant term first: their byte form read back
         through the tables, or encoded one by one above TABLE_LIMIT."""
-        if self._byte_tables() is None:
+        if self._codec is None:
             tau = self.tau
             return tuple(self.encode(residues[k:k + tau])
                          for k in range(0, len(residues), tau))
@@ -526,8 +511,6 @@ class Field:
 
     def smallest_generator(self) -> FieldElement:
         """Generator of F* smallest under the integer element encoding."""
-        if self._generator_enc is None:
-            self._generator_enc = self._find_generator_enc()
         return self.decode(self._generator_enc)
 
     def root_of_unity(self, m: int) -> FieldElement:

@@ -33,6 +33,11 @@ from .linalg import solve_linear_system
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
                      parse_artifact, require_rebuilt)
 
+# Subsets tried before the search gives up.  The binary fixture needs
+# 2,301, the odd one 21, three primes 1; four (m = 3*5*7*13) reach the
+# bound in about 10 s on a 2-vCPU VM.
+MAX_SUBSETS = 1 << 12
+
 
 def hasse_monomial(params: DpfParams, s: int, k: int, b: FieldElement) -> FieldElement:
     """k-th Hasse derivative of Z^s evaluated at a subgroup element b.
@@ -74,9 +79,10 @@ def find_interpolation_set(
     For n = n_min, n_min + 1, ... the n-subsets of H are enumerated
     in discrete-log-lexicographic order and the first subset whose
     linear system  sum_l a_l * b_l^s = [s == 0]  is consistent wins, so
-    the result is fully deterministic.  Escalation terminates because
-    the full subgroup always interpolates (the |exponents| x m system
-    has full row rank by distinctness of the characters Z^s on H).
+    the result is fully deterministic.  The full subgroup always
+    interpolates (the |exponents| x m system has full row rank by
+    distinctness of the characters Z^s on H), but the search raises
+    ParameterError after MAX_SUBSETS subsets.
     """
     m = len(H)
     exponents = sorted(set(int(s) for s in exponents))
@@ -85,13 +91,15 @@ def find_interpolation_set(
     rhs = [field.one if s == 0 else field.zero for s in exponents]
     # b_l = gamma^d, so b_l^s is just the subgroup element at index d*s.
     power_row = {s: [H[(d * s) % m] for d in range(m)] for s in exponents}
-    for n in range(n_min, m + 1):
-        for combo in itertools.combinations(range(m), n):
-            rows = [[power_row[s][d] for d in combo] for s in exponents]
-            solution = solve_linear_system(field, rows, rhs)
-            if solution is not None:
-                return tuple(combo), tuple(solution)
-    raise AssertionError("unreachable: the full subgroup interpolates")
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(m), n) for n in range(n_min, m + 1))
+    for combo in itertools.islice(subsets, MAX_SUBSETS):
+        rows = [[power_row[s][d] for d in combo] for s in exponents]
+        solution = solve_linear_system(field, rows, rhs)
+        if solution is not None:
+            return tuple(combo), tuple(solution)
+    raise ParameterError(
+        f"no interpolation set among the first {MAX_SUBSETS} subsets of H")
 
 
 def _lifted_scheme(params: DpfParams, point_logs, c) -> InterpolationScheme:

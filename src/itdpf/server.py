@@ -11,8 +11,10 @@ malformed key is refused at upload instead of failing every later
 request.  The key lives with its connection: the handler holds it and
 passes it to each request, so a request is answered with the key
 uploaded on the same connection, never with another client's.  A later
-upload on that connection replaces it.  Evaluation is pure and nothing
-else is shared, so concurrent connections need no lock.  At most
+upload on that connection replaces it.  Evaluation is pure, and the
+shared artifacts, the field's tables among them, are complete before
+the first connection and only read after, so concurrent connections
+need no lock.  At most
 MAX_CONNECTIONS connections are served at once, and one that stays
 silent for IDLE_TIMEOUT_S is closed, so idle clients cannot hold every
 handler slot.

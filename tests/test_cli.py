@@ -254,6 +254,22 @@ def test_bench_table(binary_pipeline, capsys):
     assert all(row["ok"] for row in info["rows"])
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--checks", "-1"]), ("verify", ["--budget", "-5"]),
+    ("bench", ["--h-values", ","])], ids=["checks", "budget", "h_values"])
+def test_flags_that_would_check_nothing_exit_2(binary_pipeline, capsys,
+                                               command, flags):
+    """A negative --checks or --budget, or an empty --h-values, used to
+    run no check and report ok."""
+    names = ["params", "scheme"] + (["family"] if command == "verify" else [])
+    assert main([command, *flags, *(arg for name in names for arg in (
+        f"--{name}", binary_pipeline[name]))]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert (captured.err.startswith("parameter error:")
+            and captured.err.count("\n") == 1)
+
+
 # ---------------------------------------------------------------------------
 # query
 # ---------------------------------------------------------------------------

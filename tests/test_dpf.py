@@ -420,8 +420,20 @@ def _edited_key_json(params, scheme, family, **fields):
 @pytest.mark.parametrize("fields", [{"j": 0}, {"ell": 2}, {"j": 0, "ell": 1}])
 def test_json_layout_must_match_index(params_b, scheme_b, family_b8, fields):
     data = _edited_key_json(params_b, scheme_b, family_b8, **fields)
-    with pytest.raises(ParameterError, match="disagree"):
+    with pytest.raises(ParameterError, match="differs"):
         key_from_json(params_b, scheme_b.n, data)
+
+
+def test_json_must_be_what_key_to_json_writes(params_b, scheme_b, family_b8):
+    """An unknown field, or a mask entry spelled otherwise than
+    key_to_json writes it ("00 ,3" for "0,3"), is refused."""
+    omega = json.loads(_edited_key_json(params_b, scheme_b, family_b8))["omega"]
+    respelled = ["0" + omega[0].replace(",", " ,"), *omega[1:]]
+    for fields, match in (({"note": "x"}, "unknown field 'note'"),
+                          ({"omega": respelled}, "field 'omega' differs")):
+        data = _edited_key_json(params_b, scheme_b, family_b8, **fields)
+        with pytest.raises(ParameterError, match=match):
+            key_from_json(params_b, scheme_b.n, data)
 
 
 @pytest.mark.parametrize("index", [-1, 8, 9, 65535])

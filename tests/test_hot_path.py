@@ -11,11 +11,13 @@ evaluate_all.  The key codec maps
 elements to packed coefficient bytes through the field's byte tables,
 byte-identical to a struct packing at coefficient width 1 and 2, and a
 coefficient >= p is refused at the byte offset 7 + k*width by the table
-codec and by the struct codec that fields above TABLE_LIMIT use; keygen,
-which reads its drawn residues through the codec, gives the same keys
-through either.
+codec and by the struct codec that fields above TABLE_LIMIT use.  The
+same params built with no tables (TABLE_LIMIT patched below the order)
+give the same keys, bytes, rng state, outputs and answers, and a field
+of either kind never writes to itself after construction.
 """
 
+import functools
 import random
 import struct
 from contextlib import ExitStack, contextmanager
@@ -29,7 +31,7 @@ from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, PointFunction,
                        evaluate_key, keygen, pir_answer, serialize_key)
 from itdpf.errors import KeyParseError
 from itdpf.field import Field
-from itdpf.interpolation import build_scheme
+from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
 from itdpf.matching import MatchingFamily, product_family, trivial_family
 from itdpf.oracles import reference_output
 from itdpf.params import build_params
@@ -140,9 +142,20 @@ def _fixture(request, wide, fixture):
             request.getfixturevalue(f"scheme_{fixture}"))
 
 
-def _without_byte_tables():
-    """The struct codec that fields above TABLE_LIMIT use."""
-    return mock.patch.object(Field, "_byte_tables", lambda self: None)
+@pytest.fixture(scope="module")
+def table_free(request, wide):
+    """fixture name -> its params over a field built with no tables
+    (TABLE_LIMIT patched below its order), so with the struct codec that
+    fields above TABLE_LIMIT use, and its scheme loaded through
+    scheme_from_json."""
+    @functools.cache
+    def build(fixture):
+        params, scheme = _fixture(request, wide, fixture)
+        with mock.patch("itdpf.field.TABLE_LIMIT", 1):
+            free = build_params(params.primes, params.p, params.tau)
+        assert free.field.log_exp is None and free.field._codec is None
+        return free, scheme_from_json(free, scheme_to_json(scheme))
+    return build
 
 
 @pytest.mark.parametrize("fixture", ["a", "b", "wide"])
@@ -179,9 +192,11 @@ def test_pir_request_is_one_contraction(request, wide, fixture):
 
 
 @pytest.mark.parametrize("fixture", ["a", "b", "wide"])
-def test_table_codec_matches_struct_packing(request, wide, fixture):
+def test_table_codec_matches_struct_packing(request, wide, table_free,
+                                            fixture):
     params, scheme = _fixture(request, wide, fixture)
-    assert params.field._byte_tables() is not None
+    free, free_scheme = table_free(fixture)
+    assert params.field._codec is not None
     fmt = "B" if coeff_width(params.p) == 1 else "H"
     family = trivial_family(params.M, 5)
     for seed in range(3):
@@ -195,21 +210,21 @@ def test_table_codec_matches_struct_packing(request, wide, fixture):
                       + struct.pack(f"<{len(coeffs)}{fmt}", *coeffs))
             assert serialize_key(params, key) == packed
             assert deserialize_key(params, scheme.n, packed) == key
-            with _without_byte_tables():
-                assert serialize_key(params, key) == packed
-                assert deserialize_key(params, scheme.n, packed) == key
+            assert serialize_key(free, key) == packed
+            assert deserialize_key(free, free_scheme.n, packed) == key
 
 
 @pytest.mark.parametrize("fixture", ["a", "b", "wide"])
-def test_struct_codec_gives_the_same_keys(request, wide, fixture):
-    """keygen reads its drawn residues through the codec, so with the byte
-    tables forced off (the struct codec that fields above TABLE_LIMIT
+def test_struct_codec_gives_the_same_keys(request, wide, table_free,
+                                          fixture):
+    """keygen reads its drawn residues through the codec, so on a field
+    built without tables (the struct codec that fields above TABLE_LIMIT
     use) keygen, serialize_key and deserialize_key agree byte for byte
     with the table codec, on F_25, F_512 and p = 257."""
     params, scheme = _fixture(request, wide, fixture)
     family = trivial_family(params.M, 6)
 
-    def run(seed):
+    def run(seed, params=params, scheme=scheme):
         rng = random.Random(seed)
         keys = keygen(params, family, scheme,
                       PointFunction(6, params.p, 5, params.p - 1), rng)
@@ -219,9 +234,56 @@ def test_struct_codec_gives_the_same_keys(request, wide, fixture):
 
     for seed in range(4):
         tables = run(seed)
-        with _without_byte_tables():
-            assert run(seed) == tables
+        assert run(seed, *table_free(fixture)) == tables
         assert tables[2] == tables[0]
+
+
+@pytest.mark.parametrize("fixture", ["a", "b", "wide"])
+def test_table_free_field_gives_the_same_results(request, wide, table_free,
+                                                 fixture):
+    """On both families, a field without tables runs _point_sums'
+    Field.mul_enc term and the struct codec, and agrees with the tables."""
+    params, scheme = _fixture(request, wide, fixture)
+    p = params.p
+
+    def run(params, scheme, family):
+        rng = random.Random(family.size)
+        db = [rng.randrange(p) for _ in range(family.size)]
+        keys = keygen(params, family, scheme,
+                      PointFunction(family.size, p, 2, p - 1), rng)
+        wire = [serialize_key(params, key) for key in keys]
+        parsed = [deserialize_key(params, scheme.n, data) for data in wire]
+        return (keys, wire, parsed, rng.getstate(),
+                [check_key(params, scheme, family.h, key) for key in parsed],
+                [evaluate_all(params, family, scheme, key) for key in parsed],
+                [pir_answer(params, family, scheme, key, db)
+                 for key in parsed])
+
+    for family in (trivial_family(params.M, 6), product_family(params, 6)):
+        assert run(*table_free(fixture), family) == run(params, scheme,
+                                                        family)
+
+
+@pytest.mark.parametrize("p, tau", [(5, 2), (2, 9), (257, 1)])
+def test_field_never_writes_to_itself(p, tau):
+    """A fresh field, with tables and without, keeps the keys and objects
+    of vars(field) through every method that used to fill the byte
+    tables or find the generator on first use."""
+    with mock.patch("itdpf.field.TABLE_LIMIT", 1):
+        free = Field(p, tau)
+    for fld in (Field(p, tau), free):
+        assert (fld.log_exp is None) == (fld is free)
+        before = dict(vars(fld))
+        encs = tuple(range(min(fld.order, 40)))
+        assert fld.unpack(fld.pack(encs), 0) == encs
+        assert fld.from_residues([c for e in encs
+                                  for c in fld.decode_raw(e)]) == encs
+        fld.mul_enc(encs[-1], encs[-2])
+        fld.pow(fld.decode(encs[-1]), 7)
+        fld.smallest_generator()
+        after = vars(fld)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 def _codec_cases():
@@ -243,11 +305,9 @@ def test_out_of_range_coefficient_offset(request, wide, fixture, vector,
 
 @pytest.mark.parametrize("fixture, vector, element, coeff",
                          list(_codec_cases()))
-def test_out_of_range_coefficient_offset_struct_codec(request, wide, fixture,
+def test_out_of_range_coefficient_offset_struct_codec(table_free, fixture,
                                                       vector, element, coeff):
-    params, scheme = _fixture(request, wide, fixture)
-    with _without_byte_tables():
-        _check_offset(params, scheme, vector, element, coeff)
+    _check_offset(*table_free(fixture), vector, element, coeff)
 
 
 def _check_offset(params, scheme, vector, element, coeff):

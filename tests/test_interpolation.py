@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itdpf import interpolation
 from itdpf.errors import ParameterError
 from itdpf.interpolation import (InterpolationScheme, build_scheme,
                                  find_interpolation_set, hasse_monomial,
@@ -111,6 +113,16 @@ def test_mult1_odd_fixture_escalates_to_four(params_b):
     assert len(logs) == 4                            # no 3-point scheme exists
     assert logs == (0, 1, 2, 3)
     assert [c.enc for c in coeffs] == [7, 7, 21, 21]
+
+
+def test_mult1_search_stops_at_its_bound(params_a):
+    """The binary fixture's set is the 2,301st subset tried."""
+    args = (params_a.field, params_a.H, params_a.S_m, params_a.n_target)
+    with mock.patch.object(interpolation, "MAX_SUBSETS", 2301):
+        assert find_interpolation_set(*args)[0] == (0, 5, 276)
+    with mock.patch.object(interpolation, "MAX_SUBSETS", 2300), \
+            pytest.raises(ParameterError, match="first 2300 subsets"):
+        find_interpolation_set(*args)
 
 
 def test_mult1_search_deterministic(params_b):

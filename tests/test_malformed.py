@@ -18,8 +18,9 @@ above TABLE_LIMIT; the loaders are run under a guard that checks this.
 The CLI maps the same inputs to exit 2, and an unreachable server to
 exit 1 with "query failed", without a traceback; `serve` and `query`
 map a bad address or db file to exit 2.  Parameters beyond the
-size bounds exit 2 before anything is enumerated; those cases run in a
-memory-capped subprocess with a timeout, because most used to hang.
+size bounds exit 2 before anything is enumerated, and a scheme search
+past its bound exits 2; those cases run in a memory-capped subprocess
+with a timeout, because most used to hang.
 """
 
 import json
@@ -45,7 +46,8 @@ from itdpf.dpf import (PointFunction, deserialize_key, key_byte_length,
 from itdpf.errors import ArtifactMismatchError, KeyParseError, ParameterError
 from itdpf.field import (MAX_ORDER, MAX_P, TABLE_LIMIT, Field,
                          find_irreducible, is_irreducible, is_prime)
-from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
+from itdpf.interpolation import (MAX_SUBSETS, build_scheme, scheme_from_json,
+                                 scheme_to_json)
 from itdpf.matching import (MAX_H, MatchingFamily, certified_family,
                             family_from_json, family_to_json, trivial_family)
 from itdpf.params import (build_params, canonical_set, digest_bytes,
@@ -346,11 +348,15 @@ SCALED_BASIS_FAMILY = family_to_json(certified_family(
     PARAMS.S_M)).decode()
 
 
+KEY_OMEGA = json.loads(ARTIFACTS["key"])["omega"]
 CLI_CASES = [
     ("key", "not_an_object", "[]"),
     ("key", "index_not_integer", _with("key", i="x")),
     ("key", "mask_not_a_list", _with("key", omega=5)),
     ("key", "mask_entry_not_a_string", _with("key", omega=[5])),
+    ("key", "unknown_field", _with("key", note="x")),
+    ("key", "non_canonical_element", _with("key", omega=[
+        "0" + KEY_OMEGA[0].replace(",", " ,"), *KEY_OMEGA[1:]])),
     ("family", "not_an_object", "[]"),
     ("family", "vector_entry_not_integer", _with("family", U=[["x", 0]] * 2)),
     ("family", "vector_entry_float", _with("family", U=[[1.0, 0], [0, 1]])),
@@ -574,6 +580,23 @@ def test_cli_size_bounds_exit_2(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("parameter error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_scheme_search_bound_exits_2(tmp_path):
+    """`itdpf scheme` on four primes of m used to search C(1365, 9)
+    subsets; it now gives up after MAX_SUBSETS of them, in about 10 s,
+    and names the bound."""
+    params = str(tmp_path / "params.json")
+    assert main(["params", "--primes", "3,5,7,13", "--p", "2",
+                 "--out", params]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(itdpf.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "scheme", "--params", params,
+         "--out", str(tmp_path / "scheme.json")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("parameter error: no interpolation set among "
+                           f"the first {MAX_SUBSETS} subsets of H\n")
 
 
 # json.loads raises RecursionError, not ValueError, on this.

@@ -131,22 +131,15 @@ def test_rows_beyond_zero_and_one_mod_p(request, fixture):
 
 @contextmanager
 def table_guard():
-    """Fail if a field above TABLE_LIMIT builds its log tables or a byte
-    codec inside the block."""
-    build, codec = Field._build_tables, Field._byte_tables
+    """Fail if a field above TABLE_LIMIT builds its log tables or its
+    byte codec, both built by _build_tables, inside the block."""
+    build = Field._build_tables
 
     def guarded_build(self):
         assert self.order <= TABLE_LIMIT, f"tables of order {self.order}"
         build(self)
 
-    def guarded_codec(self):
-        tables = codec(self)
-        assert tables is None or self.order <= TABLE_LIMIT, (
-            f"byte codec of order {self.order}")
-        return tables
-
-    with mock.patch.object(Field, "_build_tables", guarded_build), \
-            mock.patch.object(Field, "_byte_tables", guarded_codec):
+    with mock.patch.object(Field, "_build_tables", guarded_build):
         yield
 
 
