@@ -45,8 +45,15 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
+    """Write `data` to `path`, making its directory first.  A closed
+    reader of /dev/stdout stays a BrokenPipeError (see main)."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_params(path: str):
@@ -126,8 +133,7 @@ def cmd_keygen(args) -> int:
     params, digest, scheme, family = _load_artifacts(args)
     func = dpf.PointFunction(family.size, params.p, args.alpha, args.beta)
     keys = dpf.keygen(params, family, scheme, func, random.Random(args.seed))
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.outdir)    # made by the first _write
     paths = []
     sizes = []
     for key in keys:

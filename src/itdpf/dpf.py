@@ -18,9 +18,11 @@ product is a log/exp lookup on encodings (Field.mul_enc above
 TABLE_LIMIT), so keygen, serialization and the query path build no
 FieldElement; the JSON form decodes at its boundary.  This is the
 collapsed form of the share conversion whose vector form lives in the
-oracles as the reference.  evaluate_key, evaluate_all and pir_answer
-(the Z_p-linear functional sum_x db_x * f_i(x), none of the N shares
-built) share one walk over the family's supports.  Summing all 2n
+oracles as the reference.  evaluate_key and evaluate_all share one walk
+over the family's supports.  pir_answer, the Z_p-linear functional
+sum_x db_x * f_i(x), builds none of the N shares: over F_{2^tau} with
+tables it is ct of two field sums, each an XOR of encodings, and on
+every other field it takes the same walk.  Summing all 2n
 outputs mod p reconstructs the function value; any single key is
 distributed independently of the function.
 
@@ -227,10 +229,38 @@ def pir_answer(params: DpfParams, family: MatchingFamily,
                scheme: InterpolationScheme, key: DpfKey,
                db: list[int]) -> int:
     """One server's PIR answer, sum_x db_x * evaluate_key(x) mod p, with
-    one reduction; zero db entries are skipped.  The key must pass
-    check_key."""
-    sums = _point_sums(params, scheme, key, compress(family.supports, db))
+    one reduction; zero db entries are skipped.  Over F_{2^tau} with
+    tables it is _binary_answer, else the _point_sums walk.  The key
+    must pass check_key."""
+    rows = compress(family.supports, db)
+    if params.p == 2 and params.field.log_exp is not None:
+        return _binary_answer(params, scheme, key, rows)
+    sums = _point_sums(params, scheme, key, rows)
     return sum(map(mul, filter(None, db), sums)) % params.p
+
+
+def _binary_answer(params: DpfParams, scheme: InterpolationScheme,
+                   key: DpfKey, rows) -> int:
+    """The PIR answer for p = 2 over the rows with db_x = 1.  ct is
+    Z_p-linear, so the sum of the outputs is ct(a0 * mask[0] * T - a0 *
+    S) with T = sum_x H[e_x] and S = sum_x sum_i (u_i mod 2) * H[e_x] *
+    mask[i+1]; both sums are XORs of encodings.  H[1] is g^((q-1)/m) for
+    the tables' generator g, so E = sum_i u_i * log(c_i) is the field
+    log of H[e_x] mod q - 1.  A zero mask entry or a0 adds nothing."""
+    fld = params.field
+    log, exp = fld.log_exp
+    q1, share, mask = fld.group_order, key.share, key.mask
+    T = S = 0
+    for support in rows:
+        E = 0
+        for i, u in support:
+            E += u * log[share[i]]
+        T ^= exp[E % q1]
+        for i, u in support:
+            if u & 1 and (w := mask[i + 1]):
+                S ^= exp[(E + log[w]) % q1]
+    a0, mul_enc = scheme.coeffs[key.index % scheme.n][0].enc, fld.mul_enc
+    return (mul_enc(mul_enc(a0, mask[0]), T) ^ mul_enc(a0, S)) & 1
 
 
 def check_key(params: DpfParams, scheme: InterpolationScheme, h: int,

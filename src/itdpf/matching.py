@@ -11,8 +11,8 @@ sparse view of U that evaluation and certification iterate.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParameterError
 from .params import (DpfParams, artifact_fields, canonical_json_bytes,
@@ -37,18 +37,21 @@ class MatchingFamily:
     U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
     certified: bool = False
+    # For each 0-based row of U, the pairs (i, u_i) with u_i != 0 mod M:
+    # the only coordinates a dot product with u can depend on.  Built at
+    # construction, so that threads only ever read it.
+    supports: tuple[tuple[tuple[int, int], ...], ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        M = self.modulus
+        object.__setattr__(self, "supports", tuple(
+            tuple((i, e) for i, e in enumerate(row) if e % M)
+            for row in self.U))
 
     @property
     def size(self) -> int:
         return len(self.U)
-
-    @cached_property
-    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each 0-based row of U, the pairs (i, u_i) with u_i != 0
-        mod M: the only coordinates a dot product with u can depend on."""
-        M = self.modulus
-        return tuple(tuple((i, e) for i, e in enumerate(row) if e % M)
-                     for row in self.U)
 
     def u(self, i: int) -> tuple[int, ...]:
         """Row vector for 1-based domain index i."""
@@ -152,11 +155,7 @@ def certified_family(family: MatchingFamily, S_M) -> MatchingFamily:
         i, j, prod = cert.violation
         raise ParameterError(
             f"matching family violated at pair ({i}, {j}): product {prod}")
-    marked = MatchingFamily(family.modulus, family.h, family.U, family.V, True)
-    # Hand over the supports the certificate just built, so that the
-    # first query does not build them a second time.
-    marked.__dict__["supports"] = family.supports
-    return marked
+    return dataclasses.replace(family, certified=True)
 
 
 def family_to_json(family: MatchingFamily) -> bytes:

@@ -16,12 +16,12 @@ params_to_json writes for the result.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParameterError
 from .field import MAX_P, Field, FieldElement, is_prime
@@ -85,18 +85,12 @@ class DpfParams:
     S_m: tuple[int, ...]
     S_M: tuple[int, ...]
     n_target: int
-
-    @cached_property
-    def H_enc(self) -> tuple[int, ...]:
-        """The encodings of H, in the same order."""
-        return tuple(b.enc for b in self.H)
-
-    @cached_property
-    def H_log(self) -> dict[int, int]:
-        """Discrete log of each element of H, keyed by its encoding: the
-        element c lies in H exactly when c.enc is a key, and then
-        H[H_log[c.enc]] == c.  m entries, so no full-field table."""
-        return {c: k for k, c in enumerate(self.H_enc)}
+    # The integer views of H that the serving path reads, built with the
+    # tuple so that threads only ever read them: H_enc[k] is H[k].enc,
+    # and H_log maps each encoding in H to its index, so c lies in H
+    # exactly when c is a key.  m entries, so no full-field table.
+    H_enc: tuple[int, ...] = dataclasses.field(repr=False, compare=False)
+    H_log: dict[int, int] = dataclasses.field(repr=False, compare=False)
 
 
 def _multiplicative_order(p: int, m: int) -> int:
@@ -157,9 +151,11 @@ def build_params(primes, p: int, tau_hint: int = 1) -> DpfParams:
     # field characteristic to be at least the multiplicity; p >= 2 always.
     assert p >= MULTIPLICITY
 
+    H_enc = tuple(b.enc for b in H)
     return DpfParams(
         primes=primes, m=m, p=p, M=M, tau=tau, field=fld, H=H, S_m=S_m,
-        S_M=S_M, n_target=sparsity_target(len(primes)),
+        S_M=S_M, n_target=sparsity_target(len(primes)), H_enc=H_enc,
+        H_log={c: k for k, c in enumerate(H_enc)},
     )
 
 

@@ -12,12 +12,13 @@ request.  The key lives with its connection: the handler holds it and
 passes it to each request, so a request is answered with the key
 uploaded on the same connection, never with another client's.  A later
 upload on that connection replaces it.  Evaluation is pure, and the
-shared artifacts, the field's tables among them, are complete before
-the first connection and only read after, so concurrent connections
-need no lock.  At most
-MAX_CONNECTIONS connections are served at once, and one that stays
-silent for IDLE_TIMEOUT_S is closed, so idle clients cannot hold every
-handler slot.
+shared artifacts are complete before the first connection and only read
+after: the field builds its tables, build_params the encodings and log
+index of H, and each MatchingFamily its supports, all at construction.
+So concurrent connections need no lock.  At most MAX_CONNECTIONS
+connections are served at once, and one that stays silent for
+IDLE_TIMEOUT_S is closed, so idle clients cannot hold every handler
+slot.
 
 Each connection gets a fresh handler thread, started with
 _thread.start_new_thread: threading.Thread.start() would block the
@@ -25,9 +26,11 @@ accept loop until the new thread reports that it runs, which costs
 every connection extra thread switches.  An exception escaping a
 handler still reaches sys.unraisablehook.
 
-A PIR request is answered by dpf.pir_answer: one contraction of the
-database against the family's supports on integer encodings, using
-ct(y) = enc(y) mod p, with no full-domain evaluate_all.
+A PIR request is answered by dpf.pir_answer, with no full-domain
+evaluate_all: over F_{2^tau} with tables, ct of two field sums over the
+rows with db_x = 1, each an XOR of encodings; on any other field, one
+contraction of the database against the family's supports on integer
+encodings, using ct(y) = enc(y) mod p.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ IDLE_TIMEOUT_S = 5.0
 
 
 def load_database(path: str, p: int) -> tuple[list[int], bytes]:
-    """Newline-delimited decimal residues mod p; digest is the sha256 of
-    the raw file bytes so divergent replicas are detectable."""
+    """Newline-delimited decimal residues mod p, ASCII digits only (no
+    sign, underscore or other script); digest is the sha256 of the raw
+    file bytes so divergent replicas are detectable."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -66,11 +70,12 @@ def load_database(path: str, p: int) -> tuple[list[int], bytes]:
         line = line.strip()
         if not line:
             continue
-        try:
-            value = int(line)
-        except ValueError as exc:
-            raise ParameterError(f"db line {line_no} is not an integer") from exc
-        if not 0 <= value < p:
+        digits = line.lstrip("0") or "0"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParameterError(f"db line {line_no} is not a decimal residue")
+        # int() refuses a string of more than 4300 digits.
+        value = int(digits) if len(digits) <= len(str(p)) else p
+        if value >= p:
             raise ParameterError(f"db line {line_no} out of range mod {p}")
         entries.append(value)
     return entries, hashlib.sha256(raw).digest()

@@ -14,7 +14,8 @@ coefficient >= p is refused at the byte offset 7 + k*width by the table
 codec and by the struct codec that fields above TABLE_LIMIT use.  The
 same params built with no tables (TABLE_LIMIT patched below the order)
 give the same keys, bytes, rng state, outputs and answers, and a field
-of either kind never writes to itself after construction.
+of either kind never writes to itself after construction; nor does a
+request write to the params, family or scheme that a server shares.
 """
 
 import functools
@@ -32,9 +33,10 @@ from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, PointFunction,
 from itdpf.errors import KeyParseError
 from itdpf.field import Field
 from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
-from itdpf.matching import MatchingFamily, product_family, trivial_family
+from itdpf.matching import (MatchingFamily, family_from_json, family_to_json,
+                            product_family, trivial_family)
 from itdpf.oracles import reference_output
-from itdpf.params import build_params
+from itdpf.params import build_params, params_from_json, params_to_json
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,6 @@ FIELD_ARITHMETIC = ("mul", "add", "sub", "neg", "const", "pow", "inv",
 def _integers_only(family):
     """Fail on any Field arithmetic or decode, on family.u and on a read
     of the dense rows of U; the rows are put back on exit."""
-    family.supports        # the sparse view, computed once per family
     rows = family.U
     object.__setattr__(family, "U", _DenseRowsUnread(rows))
     try:
@@ -175,7 +176,6 @@ def test_pir_request_is_one_contraction(request, wide, fixture):
                 protocol.KEY_UPLOAD, serialize_key(params, key)), None)
             assert ack == protocol.pack(protocol.KEY_UPLOAD)
             assert stored == key
-            family.supports
             object.__setattr__(family, "U", _DenseRowsUnread(family.U))
             with mock.patch.object(Field, "pow", _forbidden("Field.pow")), \
                     mock.patch.object(dpf, "evaluate_key",
@@ -284,6 +284,41 @@ def test_field_never_writes_to_itself(p, tau):
         after = vars(fld)
         assert after.keys() == before.keys()
         assert all(after[name] is value for name, value in before.items())
+
+
+@pytest.mark.parametrize("fixture, h", [("a", 16), ("b", 8)])
+def test_serving_never_writes_to_shared_artifacts(request, fixture, h):
+    """Artifacts loaded as `itdpf serve` loads them hold every view that
+    a request reads: an upload, a PIR request and an EVAL request keep
+    the keys and objects of vars(params), vars(family) and vars(scheme).
+    The key comes from other artifacts, so nothing is built by keygen."""
+    built = request.getfixturevalue(f"params_{fixture}")
+    built_scheme = request.getfixturevalue(f"scheme_{fixture}")
+    params = params_from_json(params_to_json(built))
+    scheme = scheme_from_json(params, scheme_to_json(built_scheme))
+    family = family_from_json(params,
+                              family_to_json(trivial_family(built.M, h)))
+    key = keygen(built, trivial_family(built.M, h), built_scheme,
+                 PointFunction(h, built.p, 2, 1), random.Random(8))[0]
+    db = [random.Random(h).randrange(built.p) for _ in range(h)]
+    shared = (params, family, scheme)
+    srv = server.EvalServer(key.index, params, family, scheme, db)
+    try:
+        before = [dict(vars(obj)) for obj in shared]
+        ack, stored = srv._handle(protocol.Message(
+            protocol.KEY_UPLOAD, serialize_key(params, key)), None)
+        assert stored == key
+        for msg, reply_type in (
+                (protocol.Message(protocol.PIR_REQ, b""), protocol.PIR_RESP),
+                (protocol.Message(protocol.EVAL_REQ, (2).to_bytes(4, "big")),
+                 protocol.EVAL_RESP)):
+            reply, _ = srv._handle(msg, stored)
+            assert reply[5] == reply_type, reply
+    finally:
+        srv.shutdown()
+    for obj, old in zip(shared, before):
+        assert vars(obj).keys() == old.keys()
+        assert all(vars(obj)[name] is value for name, value in old.items())
 
 
 def _codec_cases():

@@ -17,7 +17,8 @@ Generated numbers stay within [-4, 4], so no input can build a field
 above TABLE_LIMIT; the loaders are run under a guard that checks this.
 The CLI maps the same inputs to exit 2, and an unreachable server to
 exit 1 with "query failed", without a traceback; `serve` and `query`
-map a bad address or db file to exit 2.  Parameters beyond the
+map a bad address or db file to exit 2, and an output path that cannot
+be written exits 2.  Parameters beyond the
 size bounds exit 2 before anything is enumerated, and a scheme search
 past its bound exits 2; those cases run in a memory-capped subprocess
 with a timeout, because most used to hang.
@@ -423,6 +424,7 @@ SERVE_CASES = {
     "port_in_use": lambda tmp_path, port: ["--port", str(port)],
     "db_missing": lambda tmp_path, port: ["--db", str(tmp_path / "no.db")],
     "db_not_utf8": lambda tmp_path, port: ["--db", _db(tmp_path, b"\xff\xfe")],
+    "db_not_decimal": lambda tmp_path, port: ["--db", _db(tmp_path, b"1_0\n")],
 }
 
 
@@ -436,6 +438,38 @@ def test_cli_serve_address_or_db_error_exits_2(artifact_dir, tmp_path, capsys,
     assert rc == 2
     assert err.startswith("parameter error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _regular_file(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    return str(path)
+
+
+# A path below a regular file, or a directory where a file goes, cannot
+# be written; each command says so instead of raising.
+UNWRITABLE_CASES = {
+    "family_out_below_a_file": lambda tmp_path: [
+        "family", *_artifact_args(_write_artifacts(tmp_path), ["params"]),
+        "--h", "2", "--out", _regular_file(tmp_path) + "/x.json"],
+    "params_out_is_a_directory": lambda tmp_path: [
+        "params", "--primes", "2,3", "--p", "5", "--out", str(tmp_path)],
+    "keygen_outdir_is_a_file": lambda tmp_path: [
+        "keygen", *_artifact_args(_write_artifacts(tmp_path)),
+        "--alpha", "1", "--beta", "1", "--seed", "0",
+        "--outdir", _regular_file(tmp_path)],
+    "demo_workdir_is_a_file": lambda tmp_path: [
+        "demo", "--workdir", _regular_file(tmp_path)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_CASES))
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, case):
+    rc = main(UNWRITABLE_CASES[case](tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("parameter error: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("port", ["0", "65536", "70000"])

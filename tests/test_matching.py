@@ -232,8 +232,11 @@ def test_supports_skip_zero_entries_mod_M():
     assert fam.supports == (((2, 7),), ((0, 1), (3, 31)))
 
 
-def test_certified_family_keeps_the_supports_it_checked():
-    fam = trivial_family(30, 3)
+def test_family_holds_its_supports_from_construction():
+    """supports is built with the family, not on first read, and the
+    certified copy holds the same pairs."""
+    basis = trivial_family(30, 3)
+    fam = MatchingFamily(30, 3, basis.U, basis.V)
+    assert vars(fam)["supports"] == (((0, 1),), ((1, 1),), ((2, 1),))
     marked = certified_family(fam, S_30)
-    assert marked.__dict__["supports"] is fam.supports
-    assert marked.supports == fam.supports
+    assert marked.certified and vars(marked)["supports"] == fam.supports

@@ -491,6 +491,17 @@ def test_load_database_rejects_bad_lines(tmp_path):
     path.write_text("0\n7\n")
     with pytest.raises(ParameterError):
         load_database(str(path), 5)
+    # int() reads each of these as a residue; none is ASCII decimal.
+    for line in ("1_0", "+3", "\u0663", "-0"):
+        path.write_text(f"0\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match="line 2 is not a decimal"):
+            load_database(str(path), 5)
+    # More digits than int() reads: out of range, or a padded residue.
+    path.write_text("1" * 5000 + "\n")
+    with pytest.raises(ParameterError, match="line 1 out of range"):
+        load_database(str(path), 5)
+    path.write_text("0" * 5000 + "3\n")
+    assert load_database(str(path), 5)[0] == [3]
 
 
 # ---------------------------------------------------------------------------

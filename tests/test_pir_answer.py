@@ -6,12 +6,14 @@ db entries beyond 0 and 1, for an all-zero db, for keys with zero mask
 entries (forced to zero, since a uniform entry is zero only 1/|F| of
 the time) or a zero recovery coefficient, for rows whose entries are
 beyond 0 and 1 mod p (the identity holds for any rows, and every family
-built here has u mod p in {0, 1}), and on F_{11^6}, which is above TABLE_LIMIT and so must answer
-through Field products without building any full-field table.
-pir_answer and evaluate_all share one walk over the supports, so on
-F_{11^6}, where no other test reaches that walk's table-free branch,
-both are also checked against the FieldElement reference
-oracles.convert_share.
+built here has u mod p in {0, 1}), and on F_{11^6}, which is above
+TABLE_LIMIT and so must answer through Field products without building
+any full-field table.
+Over F_{2^tau} with tables, pir_answer is two XOR sums of its own and
+never enters the _point_sums walk of evaluate_all; on every other field
+the two share that walk.  So on F_{11^6}, where no other test reaches
+the walk's table-free branch, both are also checked against the
+FieldElement reference oracles.convert_share.
 """
 
 import random
@@ -21,10 +23,11 @@ from unittest import mock
 
 import pytest
 
+from itdpf import dpf
 from itdpf.dpf import (DpfKey, PointFunction, check_key, deserialize_key,
                        evaluate_all, keygen, pir_answer, serialize_key)
 from itdpf.field import TABLE_LIMIT, Field
-from itdpf.interpolation import build_scheme
+from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
 from itdpf.matching import MatchingFamily, product_family, trivial_family
 from itdpf.oracles import reference_output
 from itdpf.params import build_params
@@ -182,3 +185,59 @@ def test_above_table_limit_matches_convert_share(big_field):
                 sum(d * y for d, y in zip(db, expected)) % 11)
             outputs.append(expected)
     assert [sum(col) % 11 for col in zip(*outputs)] == [0, 0, 7, 0]
+
+
+def _keys_and_expected(params, scheme, family):
+    """The keys of one point function, a random db, and each key's
+    sum_x db_x * evaluate_all(key)_x mod p."""
+    rng = random.Random(11)
+    db = [rng.randrange(params.p) for _ in range(family.size)]
+    keys = keygen(params, family, scheme,
+                  PointFunction(family.size, params.p, 2, 1), rng)
+    return keys, db, [_reference(params, family, scheme, key, db)
+                      for key in keys]
+
+
+def _walk_must_not_run(*args):
+    raise AssertionError("pir_answer entered dpf._point_sums")
+
+
+@pytest.mark.parametrize("family_of", [
+    lambda params: trivial_family(params.M, 16),
+    lambda params: product_family(params, 12)], ids=["basis", "product"])
+def test_binary_answer_skips_the_shared_walk(params_a, scheme_a, family_of):
+    family = family_of(params_a)
+    keys, db, expected = _keys_and_expected(params_a, scheme_a, family)
+    with mock.patch.object(dpf, "_point_sums", _walk_must_not_run):
+        assert [pir_answer(params_a, family, scheme_a, key, db)
+                for key in keys] == expected
+
+
+def _binary_without_tables(params_a, scheme_a):
+    with mock.patch("itdpf.field.TABLE_LIMIT", 1):
+        params = build_params(params_a.primes, 2, params_a.tau)
+    assert params.field.log_exp is None
+    return params, scheme_from_json(params, scheme_to_json(scheme_a))
+
+
+@pytest.mark.parametrize("case", ["odd", "odd_product", "above_limit",
+                                  "binary_without_tables"])
+def test_other_fields_answer_through_the_shared_walk(request, big_field,
+                                                     case):
+    if case == "above_limit":
+        params, scheme = big_field
+    elif case == "binary_without_tables":
+        params, scheme = _binary_without_tables(
+            request.getfixturevalue("params_a"),
+            request.getfixturevalue("scheme_a"))
+    else:
+        params = request.getfixturevalue("params_b")
+        scheme = request.getfixturevalue("scheme_b")
+    family = (product_family(params, 6) if case == "odd_product"
+              else trivial_family(params.M, 4))
+    keys, db, expected = _keys_and_expected(params, scheme, family)
+    with mock.patch.object(dpf, "_point_sums",
+                           wraps=dpf._point_sums) as walk:
+        assert [pir_answer(params, family, scheme, key, db)
+                for key in keys] == expected
+    assert walk.call_count == len(keys)
