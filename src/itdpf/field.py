@@ -5,11 +5,11 @@ smallest monic irreducible zeta(X), stored constant term first.  For
 small fields (order <= 2**16) the constructor builds discrete-log tables
 over a fixed smallest generator, giving O(1) multiplication and
 powering; all elements are then interned so arithmetic allocates
-nothing.  Inverse and multiplicative order go through `pow`, and `pow`
-above the limit through the one polynomial square-and-multiply.  The
-serving path works on integer encodings: it reads those tables
-(`log_exp`) and multiplies with `mul_enc`; above the limit `log_exp`
-returns None and callers use `mul_enc`'s polynomial product.
+nothing.  Above the limit arithmetic is polynomial arithmetic mod zeta.
+The serving path and the interpolation search work on integer
+encodings: they read those tables (`log_exp`, None above the limit),
+multiply with `mul_enc`, invert with `inv_enc` and add with `add_enc`,
+coefficient-wise (an XOR for p = 2), as element addition does.
 
 The field alone defines an element's byte form: its tau coefficients,
 constant term first, each `coeff_width(p)` bytes little-endian, one
@@ -453,16 +453,25 @@ class Field:
         if a.field.signature != self.signature:
             raise ParameterError("field element belongs to a different field")
 
+    def add_enc(self, a: int, b: int, sign: int = 1) -> int:
+        """a + sign*b on encodings, coefficient-wise, sign = +-1: an XOR
+        for p = 2."""
+        if self.p == 2:
+            return a ^ b
+        return self._add_coeffs(self.decode(a).coeffs, self.decode(b).coeffs,
+                                sign)
+
+    def _add_coeffs(self, xs, ys, sign: int) -> int:
+        return self.encode([(x + sign * y) % self.p for x, y in zip(xs, ys)])
+
     def _add_scaled(self, a: FieldElement, b: FieldElement,
                     sign: int) -> FieldElement:
-        """a + sign*b coefficient-wise, sign = +-1; an XOR for p = 2."""
+        """add_enc on elements, read from their own coefficients."""
         self._check(a)
         self._check(b)
         if self.p == 2:
             return self.decode(a.enc ^ b.enc)
-        p = self.p
-        return self.decode(self.encode(
-            [(x + sign * y) % p for x, y in zip(a.coeffs, b.coeffs)]))
+        return self.decode(self._add_coeffs(a.coeffs, b.coeffs, sign))
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self._add_scaled(a, b, 1)
@@ -488,9 +497,17 @@ class Field:
         return self._exp[(self._log[a] + self._log[b]) % self.group_order]
 
     def inv(self, a: FieldElement) -> FieldElement:
-        if a.enc == 0:
+        self._check(a)
+        return self.decode(self.inv_enc(a.enc))
+
+    def inv_enc(self, a: int) -> int:
+        """The inverse of an encoding, as an encoding: one log/exp lookup,
+        or a**(group_order - 1) above TABLE_LIMIT."""
+        if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.pow(a, -1)
+        if self._log is None:
+            return self._pow_enc_direct(a, self.group_order - 1)
+        return self._exp[-self._log[a] % self.group_order]
 
     def pow(self, a: FieldElement, k: int) -> FieldElement:
         """a**k; for a != 0 the exponent is reduced mod the group order,

@@ -56,13 +56,15 @@ IDLE_TIMEOUT_S = 5.0
 
 
 def load_database(path: str, p: int) -> tuple[list[int], bytes]:
-    """Newline-delimited decimal residues mod p, ASCII digits only (no
-    sign, underscore or other script); digest is the sha256 of the raw
-    file bytes so divergent replicas are detectable."""
+    """Decimal residues mod p, one per line, ASCII digits only (no sign,
+    underscore or other script).  Only a newline ends a line, so a form
+    feed or file separator inside one leaves it invalid rather than
+    splitting it.  The digest is the sha256 of the raw file bytes so
+    divergent replicas are detectable."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        lines = raw.decode().splitlines()
+        lines = raw.decode().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read db {path}: {exc}") from exc
     entries = []

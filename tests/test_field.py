@@ -165,6 +165,22 @@ def test_field_axioms_bulk(field):
             assert a * a.inverse() == field.one
 
 
+@pytest.mark.parametrize("field", [F25, F512, F5, Field(11, 6)],
+                         ids=["F25", "F512", "F5", "F11^6"])
+def test_encoding_arithmetic_matches_elements(field):
+    """add_enc and inv_enc, which the interpolation search runs on, agree
+    with element arithmetic, with tables and above TABLE_LIMIT."""
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = field.random_elements(rng, 2)
+        assert field.add_enc(a.enc, b.enc) == (a + b).enc
+        assert field.add_enc(a.enc, b.enc, -1) == (a - b).enc
+        if not a.is_zero():
+            assert field.mul_enc(a.enc, field.inv_enc(a.enc)) == 1
+    with pytest.raises(ZeroDivisionError):
+        field.inv_enc(0)
+
+
 @pytest.mark.parametrize("field", [F25, F512, F5], ids=["F25", "F512", "F5"])
 def test_frobenius(field):
     rng = random.Random(11)

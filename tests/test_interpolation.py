@@ -1,4 +1,6 @@
+import functools
 import itertools
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from itdpf import interpolation
 from itdpf.errors import ParameterError
+from itdpf.field import Field, FieldElement
 from itdpf.interpolation import (InterpolationScheme, build_scheme,
                                  find_interpolation_set, hasse_monomial,
                                  scheme_from_json, scheme_to_json,
@@ -128,6 +131,68 @@ def test_mult1_search_stops_at_its_bound(params_a):
 def test_mult1_search_deterministic(params_b):
     args = (params_b.field, params_b.H, params_b.S_m, params_b.n_target)
     assert find_interpolation_set(*args) == find_interpolation_set(*args)
+
+
+# ---------------------------------------------------------------------------
+# The solver on inputs the fixtures do not reach, recorded with the
+# FieldElement elimination that the solver on encodings replaced: larger
+# systems, odd p at tau = 3 and 4, and F_{7^10}, above TABLE_LIMIT and so
+# without tables.  (5, 19) at p = 11 has no 3-point set among the first
+# MAX_SUBSETS subsets, so it starts at 4 points.  exponents = [0] from
+# 2 points leaves a free variable, which the solver sets to zero.
+# ---------------------------------------------------------------------------
+
+# name: (primes, p, exponents or None for S_m, n_min or None for n_target,
+#        logs, encodings of the coefficients)
+SOLVER_PINS = {
+    "binary": ((7, 73), 2, None, None, (0, 5, 276), [252, 151, 106]),
+    "odd": ((2, 3), 5, None, None, (0, 1, 2, 3), [7, 7, 21, 21]),
+    "F_64": ((3, 7), 2, None, None, (0, 1, 2, 3), [44, 54, 33, 58]),
+    "F_2401": ((2, 3, 5), 7, None, None, tuple(range(8)),
+               [2084, 2084, 1023, 1023, 511, 511, 1979, 1979]),
+    "F_4096": ((3, 5, 7), 2, None, None, tuple(range(8)),
+               [341, 3398, 1807, 2832, 3400, 1991, 2582, 148]),
+    "F_1331": ((5, 19), 11, None, 4, (0, 1, 2, 3), [228, 825, 1300, 684]),
+    "F_7^10": ((11,), 7, None, None, (0, 1), [152358647, 176254611]),
+    "binary_free_variable": ((7, 73), 2, [0], 2, (0, 1), [1, 0]),
+    "odd_free_variable": ((2, 3), 5, [0], 2, (0, 1), [1, 0]),
+}
+
+
+@functools.cache
+def _pinned_search(name):
+    """The arguments of a pinned search, and its pinned result."""
+    primes, p, exponents, n_min, logs, encs = SOLVER_PINS[name]
+    params = build_params(primes, p)
+    args = (params.field, params.H,
+            params.S_m if exponents is None else exponents,
+            params.n_target if n_min is None else n_min)
+    return args, (logs, encs)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_PINS))
+def test_mult1_search_pinned(name):
+    args, pinned = _pinned_search(name)
+    logs, coeffs = find_interpolation_set(*args)
+    assert (logs, [c.enc for c in coeffs]) == pinned
+
+
+def _raises(*args):
+    raise AssertionError("FieldElement arithmetic in the search")
+
+
+@pytest.mark.parametrize("name", ["binary", "odd", "F_7^10"])
+def test_mult1_search_runs_on_encodings(name):
+    """The search does no FieldElement or Field element arithmetic."""
+    args, pinned = _pinned_search(name)
+    with ExitStack() as stack:
+        for cls, names in ((FieldElement, ("__add__", "__sub__", "__mul__",
+                                           "__neg__", "__pow__")),
+                           (Field, ("add", "sub", "mul", "neg"))):
+            for attr in names:
+                stack.enter_context(mock.patch.object(cls, attr, _raises))
+        logs, coeffs = find_interpolation_set(*args)
+    assert (logs, [c.enc for c in coeffs]) == pinned
 
 
 # ---------------------------------------------------------------------------

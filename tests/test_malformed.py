@@ -368,6 +368,8 @@ CLI_CASES = [
     ("family", "scaled_basis_family", SCALED_BASIS_FAMILY),
     ("scheme", "not_an_object", "[]"),
     ("scheme", "log_not_integer", _with("scheme", B_logs=[[1]] * SCHEME.n)),
+    ("scheme", "log_boolean", _with("scheme", B_logs=[
+        False, True, *SCHEME.point_logs[2:]])),
     ("params", "not_an_object", "[]"),
     ("params", "vector_entry_not_integer", _with("params", zeta=["x", 0, 1])),
     ("params", "huge_prime_p", _with("params", p=2 ** 61 - 1)),
@@ -618,7 +620,7 @@ def test_cli_size_bounds_exit_2(tmp_path, case):
 
 def test_cli_scheme_search_bound_exits_2(tmp_path):
     """`itdpf scheme` on four primes of m used to search C(1365, 9)
-    subsets; it now gives up after MAX_SUBSETS of them, in about 10 s,
+    subsets; it now gives up after MAX_SUBSETS of them, in about 1.5 s,
     and names the bound."""
     params = str(tmp_path / "params.json")
     assert main(["params", "--primes", "3,5,7,13", "--p", "2",

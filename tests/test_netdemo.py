@@ -481,6 +481,8 @@ def test_load_database(tmp_path):
     entries, digest = load_database(str(path), 5)
     assert entries == [0, 3, 4]
     assert digest == hashlib.sha256(path.read_bytes()).digest()
+    path.write_bytes(b"0\r\n1\r\n")
+    assert load_database(str(path), 5)[0] == [0, 1]
 
 
 def test_load_database_rejects_bad_lines(tmp_path):
@@ -502,6 +504,10 @@ def test_load_database_rejects_bad_lines(tmp_path):
         load_database(str(path), 5)
     path.write_text("0" * 5000 + "3\n")
     assert load_database(str(path), 5)[0] == [3]
+    # Two lines: a form feed or \x1c does not end a line.
+    path.write_bytes(b"1\f0\n1\x1c1\n")
+    with pytest.raises(ParameterError, match="line 1 is not a decimal"):
+        load_database(str(path), 5)
 
 
 # ---------------------------------------------------------------------------
