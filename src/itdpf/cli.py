@@ -270,17 +270,8 @@ def cmd_verify(args) -> int:
         f0 = dpf.PointFunction(family.size, params.p, 1, 1 % params.p)
         f1 = dpf.PointFunction(family.size, params.p, 2,
                                min(3, params.p - 1))
-        dist = oracles.OracleReport("distribution_equality")
-        for slot in range(scheme.n):
-            r = oracles.check_distribution_equality(
-                params, family, scheme, f0, f1, slot,
-                enumeration_budget=args.budget)
-            if r.skipped:
-                dist.skipped = r.skipped
-                break
-            dist.cases += r.cases
-            dist.failures.extend(r.failures)
-        reports.append(dist)
+        reports.append(oracles.check_distribution_equality(
+            params, family, scheme, f0, f1, enumeration_budget=args.budget))
 
     if args.keys:
         _verify_keys(params, family, scheme, digest, args.keys, reports)

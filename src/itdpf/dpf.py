@@ -89,9 +89,11 @@ def _check_context(params: DpfParams, family: MatchingFamily,
         raise ParameterError("scheme has no interpolation points")
 
 
-def _shares(params: DpfParams, family: MatchingFamily,
-            scheme: InterpolationScheme, alpha: int,
-            blind_logs: list[int]) -> list[tuple[int, ...]]:
+def shares_from_logs(params: DpfParams, family: MatchingFamily,
+                     scheme: InterpolationScheme, alpha: int,
+                     blind_logs) -> list[tuple[int, ...]]:
+    """make_shares for the blind whose entries are H at blind_logs,
+    unchecked."""
     H, m, v_alpha = params.H_enc, params.m, family.v(alpha)
     return [tuple(H[(k + v * d) % m] for k, v in zip(blind_logs, v_alpha))
             + (H[d],) for d in scheme.point_logs]
@@ -109,7 +111,8 @@ def make_shares(params: DpfParams, family: MatchingFamily,
     log = params.H_log
     if any(z.enc not in log for z in blind):
         raise ParameterError("blind entry outside the order-m subgroup")
-    return _shares(params, family, scheme, alpha, [log[z.enc] for z in blind])
+    return shares_from_logs(params, family, scheme, alpha,
+                            [log[z.enc] for z in blind])
 
 
 def keygen(params: DpfParams, family: MatchingFamily,
@@ -136,7 +139,7 @@ def keygen(params: DpfParams, family: MatchingFamily,
     fld, p, m, h = params.field, params.p, params.m, family.h
 
     blind_logs = draw_below(rng, m, h)
-    shares = _shares(params, family, scheme, func.alpha, blind_logs)
+    shares = shares_from_logs(params, family, scheme, func.alpha, blind_logs)
 
     correction = -sum(u * blind_logs[i] for i, u
                       in family.supports[func.alpha - 1]) % m

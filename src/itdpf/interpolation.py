@@ -168,13 +168,19 @@ class SchemeCertificate:
     random_failures: int
 
 
-def _pow_by_iteration(field: Field, b: FieldElement, e: int) -> FieldElement:
-    """Plain repeated multiplication; deliberately avoids Field.pow so the
-    certificate exercises an arithmetic path disjoint from the solver."""
+def _powers_by_iteration(field: Field, b: FieldElement,
+                         exponents: set[int]) -> dict[int, FieldElement]:
+    """b**e for each e in exponents, from one pass of repeated
+    multiplication up to the largest; deliberately avoids Field.pow so
+    the certificate exercises an arithmetic path disjoint from the
+    solver."""
+    powers = {}
     acc = field.one
-    for _ in range(e):
+    for e in range(max(exponents) + 1):
+        if e in exponents:
+            powers[e] = acc
         acc = acc * b
-    return acc
+    return powers
 
 
 def verify_scheme(
@@ -185,23 +191,26 @@ def verify_scheme(
 ) -> SchemeCertificate:
     """Re-check the multiplicity-2 identity from scratch.
 
-    Every monomial constraint is recomputed by iterated multiplication
-    (not the solver's matrices, not table powering), then the linear map
-    is spot-checked on random polynomials supported on the canonical set
-    of M: applying the recovery coefficients to their evaluations and
-    first derivatives must return the constant term exactly.
+    Every monomial constraint is recomputed from powers of each point
+    built by iterated multiplication (not the solver's matrices, not
+    table powering), then the linear map is spot-checked on random
+    polynomials supported on the canonical set of M: applying the
+    recovery coefficients to their evaluations and first derivatives
+    must return the constant term exactly.
     """
-    fld = params.field
+    fld, m, p = params.field, params.m, params.p
+    # Row s reads b**(s mod m) and, when s mod p != 0, b**(s-1 mod m).
+    used = ({s % m for s in params.S_M}
+            | {(s - 1) % m for s in params.S_M if s % p})
+    powers = [_powers_by_iteration(fld, b, used) for b in scheme.points]
     failed = []
     for s in params.S_M:
+        scalar = s % p
         total = fld.zero
-        for (a0, a1), b in zip(scheme.coeffs, scheme.points):
-            value = _pow_by_iteration(fld, b, s % params.m)
-            total = total + a0 * value
-            scalar = s % params.p
+        for (a0, a1), pw in zip(scheme.coeffs, powers):
+            total = total + a0 * pw[s % m]
             if scalar:
-                deriv = fld.const(scalar) * _pow_by_iteration(fld, b, (s - 1) % params.m)
-                total = total + a1 * deriv
+                total = total + a1 * (fld.const(scalar) * pw[(s - 1) % m])
         expected = fld.one if s == 0 else fld.zero
         if total != expected:
             failed.append(s)

@@ -20,10 +20,12 @@ argument for the additive masks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
-from .dpf import (DpfKey, PointFunction, keygen, make_shares, serialize_key,
-                  key_byte_length, KEY_HEADER_LEN)
+from .dpf import (DpfKey, PointFunction, keygen, make_shares,
+                  shares_from_logs, serialize_key, key_byte_length,
+                  KEY_HEADER_LEN)
 from .errors import FamilyViolationError
 from .field import FieldElement
 from .interpolation import InterpolationScheme, hasse_monomial
@@ -224,30 +226,18 @@ def reconstruction_identity_check(params: DpfParams, family: MatchingFamily,
     return report
 
 
-def enumerate_blinds(params: DpfParams, h: int):
-    """All blinding vectors in subgroup^h, in mixed-radix discrete-log order."""
-    m = params.m
-    total = m ** h
-    for code in range(total):
-        vec = []
-        c = code
-        for _ in range(h):
-            vec.append(params.H[c % m])
-            c //= m
-        yield tuple(vec)
-
-
 def check_distribution_equality(params: DpfParams, family: MatchingFamily,
                                 scheme: InterpolationScheme,
                                 f0: PointFunction, f1: PointFunction,
-                                slot: int, enumeration_budget: int = 10 ** 6,
-                                as_bytes: bool = False) -> OracleReport:
-    """Perfect-security witness for one key slot.
+                                enumeration_budget: int = 10 ** 6
+                                ) -> OracleReport:
+    """Perfect-security witness for every key slot.
 
-    (a) Enumerates every blinding vector and compares the exact multiset
-    of share vectors produced for f0 vs f1 (each must be a bijective
-    re-enumeration of subgroup^h).  With as_bytes=True the comparison is
-    over the serialized wire bytes of the share section.
+    (a) For each slot, enumerates every blinding vector and compares the
+    exact multisets of that slot's share bytes (Field.pack, exactly as a
+    server receives them in its upload) produced for f0 vs f1; each must
+    be a bijective re-enumeration of subgroup^h.  Slots are compared one
+    at a time, each on the scheme narrowed to its own point.
     (b) Verifies the mask map (mask1 = target - mask0) is a bijection:
     injectivity on an enumerated grid of mask0 values plus equal finite
     cardinality of domain and codomain give surjectivity.
@@ -261,23 +251,20 @@ def check_distribution_equality(params: DpfParams, family: MatchingFamily,
         return report
     fld = params.field
 
-    def share_multiset(func: PointFunction):
-        out = []
-        for blind in enumerate_blinds(params, h):
-            share = make_shares(params, family, scheme, func.alpha,
-                                list(blind))[slot]
-            if as_bytes:
-                # The share's byte form, exactly as a server receives it
-                # in its upload.
-                out.append(fld.pack(share))
-            else:
-                out.append(share)
-        out.sort()
-        return out
+    def share_multiset(point: InterpolationScheme, func: PointFunction):
+        # Every blind in subgroup^h, enumerated by its entries' logs.
+        return sorted(
+            fld.pack(shares_from_logs(params, family, point, func.alpha,
+                                      logs)[0])
+            for logs in itertools.product(range(params.m), repeat=h))
 
-    report.cases += 1
-    if share_multiset(f0) != share_multiset(f1):
-        report.failures.append({"kind": "share_multiset", "slot": slot})
+    for slot in range(scheme.n):
+        point = replace(scheme, points=scheme.points[slot:slot + 1],
+                        point_logs=scheme.point_logs[slot:slot + 1],
+                        coeffs=scheme.coeffs[slot:slot + 1])
+        report.cases += 1
+        if share_multiset(point, f0) != share_multiset(point, f1):
+            report.failures.append({"kind": "share_multiset", "slot": slot})
 
     # Mask bijection: for a small fixed set of blinds and both functions,
     # the map mask0 -> target - mask0 must be injective on an enumerated

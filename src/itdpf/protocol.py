@@ -20,6 +20,7 @@ Payloads:
 from __future__ import annotations
 
 import socket
+import time
 from dataclasses import dataclass
 
 MAGIC = b"IDPF"
@@ -83,14 +84,27 @@ def error_message(code: int, text: str = "") -> bytes:
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     """n bytes from sock: the first chunk itself when it holds them all,
-    as it usually does on loopback, so no copy is made."""
+    as it usually does on loopback, so no copy is made.  Once part has
+    arrived, the rest must arrive within the socket's timeout in all,
+    not per recv, so a peer that trickles bytes cannot hold the reader."""
     chunk = sock.recv(n)
     if len(chunk) == n:
         return chunk
     buf = bytearray(chunk)
-    while chunk and len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        buf += chunk
+    timeout = sock.gettimeout()
+    deadline = None if timeout is None else time.monotonic() + timeout
+    try:
+        while chunk and len(buf) < n:
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("frame not completed in time")
+                sock.settimeout(left)
+            chunk = sock.recv(n - len(buf))
+            buf += chunk
+    finally:
+        if deadline is not None:
+            sock.settimeout(timeout)
     if len(buf) < n:
         raise ConnectionError("peer closed the connection")
     return bytes(buf)

@@ -16,9 +16,9 @@ shared artifacts are complete before the first connection and only read
 after: the field builds its tables, build_params the encodings and log
 index of H, and each MatchingFamily its supports, all at construction.
 So concurrent connections need no lock.  At most MAX_CONNECTIONS
-connections are served at once, and one that stays silent for
-IDLE_TIMEOUT_S is closed, so idle clients cannot hold every handler
-slot.
+connections are served at once, and one that stays silent, or leaves a
+begun frame unfinished, for IDLE_TIMEOUT_S is closed, so idle or
+trickling clients cannot hold every handler slot.
 
 Each connection gets a fresh handler thread, started with
 _thread.start_new_thread: threading.Thread.start() would block the
@@ -53,25 +53,32 @@ MAX_CONNECTIONS = 8     # connection handlers running at once
 # Shorter than the client's 10 s timeout, so a client queued behind idle
 # connections is served before it gives up.
 IDLE_TIMEOUT_S = 5.0
+# How often the accept loop checks for shutdown, while it waits for a
+# connection or for a free handler slot.
+POLL_S = 0.2
 
 
 def load_database(path: str, p: int) -> tuple[list[int], bytes]:
     """Decimal residues mod p, one per line, ASCII digits only (no sign,
     underscore or other script).  Only a newline ends a line, so a form
     feed or file separator inside one leaves it invalid rather than
-    splitting it.  The digest is the sha256 of the raw file bytes so
-    divergent replicas are detectable."""
+    splitting it.  Blank lines may follow the last residue but not
+    precede it, where one would shift every later entry.  The digest is
+    the sha256 of the raw file bytes so divergent replicas are
+    detectable."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
         lines = raw.decode().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read db {path}: {exc}") from exc
+    while lines and not lines[-1].strip():
+        lines.pop()
     entries = []
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
-            continue
+            raise ParameterError(f"db line {line_no} is empty")
         digits = line.lstrip("0") or "0"
         if not (digits.isascii() and digits.isdigit()):
             raise ParameterError(f"db line {line_no} is not a decimal residue")
@@ -112,7 +119,7 @@ class EvalServer:
                 f"cannot listen on {host}:{port}: {exc}") from exc
         # Set once here: shutdown() may close the socket before the
         # accept loop starts, and a closed socket just ends that loop.
-        self._sock.settimeout(0.2)
+        self._sock.settimeout(POLL_S)
         self.port = self._sock.getsockname()[1]
         self._stop = threading.Event()
         self._conn_slots = threading.Semaphore(MAX_CONNECTIONS)
@@ -127,8 +134,18 @@ class EvalServer:
                 continue
             except OSError:
                 break
-            self._conn_slots.acquire()
-            _thread.start_new_thread(self._serve_connection, (conn,))
+            if self._wait_for_slot():
+                _thread.start_new_thread(self._serve_connection, (conn,))
+            else:
+                conn.close()    # shut down while every slot was held
+
+    def _wait_for_slot(self) -> bool:
+        """Take a handler slot, checking for shutdown in POLL_S steps;
+        False, with no slot taken, once shut down."""
+        while not self._conn_slots.acquire(timeout=POLL_S):
+            if self._stop.is_set():
+                return False
+        return True
 
     def start_background(self) -> threading.Thread:
         t = threading.Thread(target=self.serve_forever, daemon=True)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from itdpf import interpolation
 from itdpf.errors import ParameterError
 from itdpf.field import Field, FieldElement
-from itdpf.interpolation import (InterpolationScheme, build_scheme,
+from itdpf.interpolation import (InterpolationScheme, SchemeCertificate,
+                                 build_scheme,
                                  find_interpolation_set, hasse_monomial,
                                  scheme_from_json, scheme_to_json,
                                  verify_scheme)
@@ -274,6 +275,49 @@ def test_verify_scheme_catches_perturbation(params_a, scheme_a):
     cert = verify_scheme(params_a, corrupted, random_polynomials=0)
     assert not cert.ok
     assert 0 in cert.failed_exponents
+
+
+# Failed exponents of the certificate rows, recorded when each row still
+# powered its points afresh: for the lifted scheme of every pinned search
+# (the free-variable sets interpolate only s = 0), and for each fixture
+# with its first derivative coefficient raised by one.
+CERTIFICATE_PINS = {**{name: () for name in SOLVER_PINS},
+                    "binary_free_variable": (512, 658, 876),
+                    "odd_free_variable": (10, 15, 25)}
+PERTURBED_PINS = {"binary": (1, 147, 365, 511), "odd": (1, 6, 16, 21)}
+
+
+def _pow_forbidden(*args):
+    raise AssertionError("Field.pow in the certificate's rows")
+
+
+def _certificate_rows(params, scheme):
+    """verify_scheme's monomial rows alone, with Field.pow forbidden."""
+    with mock.patch.object(Field, "pow", _pow_forbidden):
+        return verify_scheme(params, scheme, random_polynomials=0)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_PINS))
+def test_certificate_rows_pinned(name):
+    primes, p, _, _, logs, encs = SOLVER_PINS[name]
+    params = build_params(primes, p)
+    scheme = interpolation._lifted_scheme(
+        params, logs, [params.field.decode(e) for e in encs])
+    assert _certificate_rows(params, scheme) == SchemeCertificate(
+        not CERTIFICATE_PINS[name], CERTIFICATE_PINS[name], 0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_PINS))
+def test_certificate_rows_pinned_on_perturbed_fixture(name):
+    primes, p = SOLVER_PINS[name][:2]
+    params = build_params(primes, p)
+    scheme = build_scheme(params)
+    (a0, a1), *rest = scheme.coeffs
+    perturbed = InterpolationScheme(
+        scheme.points, scheme.point_logs,
+        ((a0, a1 + params.field.one), *rest))
+    assert _certificate_rows(params, perturbed) == SchemeCertificate(
+        False, PERTURBED_PINS[name], 0, 0)
 
 
 def test_recovery_map_is_linear(params_b, scheme_b):

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+import select
 import socket
 import subprocess
 import sys
@@ -164,6 +166,73 @@ def test_idle_connections_do_not_starve_a_server(fleet, params_b, scheme_b,
         assert result.value == db[1]
         assert all(sock.recv(1) == b"" for sock in idle)   # closed by server
     finally:
+        for sock in idle:
+            sock.close()
+
+
+def test_trickling_client_is_closed(params_b, scheme_b, family_b8,
+                                    monkeypatch):
+    # A client that sends one byte of a frame every 0.3 s never lets a
+    # single recv wait out IDLE_TIMEOUT_S, but the frame as a whole must
+    # arrive within it: the server closes the connection and frees its
+    # handler slot.
+    monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 0.5)
+    server = EvalServer(0, params_b, family_b8, scheme_b)
+    accept = server.start_background()
+    frame = protocol.pack(protocol.KEY_UPLOAD, bytes(200))
+    closed_after = None
+    try:
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            start = time.monotonic()
+            for byte in frame[:14]:     # 4.2 s of trickling at most
+                try:
+                    sock.sendall(bytes([byte]))
+                    if (select.select([sock], [], [], 0.3)[0]
+                            and sock.recv(1) == b""):
+                        closed_after = time.monotonic() - start
+                        break
+                except ConnectionError:
+                    closed_after = time.monotonic() - start
+                    break
+        assert closed_after is not None and closed_after < 1.2
+        slots = server._conn_slots
+        for _ in range(server_mod.MAX_CONNECTIONS):
+            assert slots.acquire(timeout=1)
+        for _ in range(server_mod.MAX_CONNECTIONS):
+            slots.release()
+    finally:
+        server.shutdown()
+    accept.join(1)
+    assert not accept.is_alive()
+
+
+def test_shutdown_with_every_slot_held(params_b, scheme_b, family_b8,
+                                       monkeypatch):
+    # Eight idle clients hold every handler slot and a ninth waits for
+    # one.  shutdown() ends the accept loop within a second, and the
+    # ninth is closed unserved: its request gets no reply.
+    monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 3.0)
+    server = EvalServer(0, params_b, family_b8, scheme_b)
+    accept = server.start_background()
+    idle = [socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            for _ in range(server_mod.MAX_CONNECTIONS)]
+    try:
+        queued = socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5)
+        idle.append(queued)
+        queued.sendall(protocol.pack(protocol.EVAL_REQ, (1).to_bytes(4, "big")))
+        time.sleep(0.3)                 # the accept loop waits for a slot
+        server.shutdown()
+        accept.join(1)
+        assert not accept.is_alive()
+        try:
+            reply = queued.recv(1)
+        except ConnectionResetError:    # closed with the request unread
+            reply = b""
+        assert reply == b""
+    finally:
+        server.shutdown()
         for sock in idle:
             sock.close()
 
@@ -360,6 +429,56 @@ def test_bench_runs_against_this_source(tmp_path):
         "db.txt", "family.json", "params.json", "scheme.json"]
 
 
+def test_traced_bench_path_runs_on_listed_workloads(tmp_path):
+    """The traced benchmark run fails on any change to the client's or
+    the servers' call pattern that its spans cannot match.  In a
+    subprocess, per workload listed in BENCHMARK.json: build the
+    artifacts, start a traced fleet, run the query phase for 0.5 s with
+    a recorder, and require no server stderr, no failed query and no
+    problem from layer_metrics."""
+    script = "\n".join([
+        "import json, sys",
+        "from collections import defaultdict",
+        "from pathlib import Path",
+        f"sys.path.insert(0, {str(BENCH)!r})",
+        "import run, tracing",
+        "for name in sys.argv[2:]:",
+        "    workdir = Path(sys.argv[1]) / name",
+        "    spans_dir = workdir / 'spans'",
+        "    spans_dir.mkdir(parents=True)",
+        "    ctx = run.build_artifacts(run.WORKLOADS[name], 0, workdir,",
+        "                              defaultdict(list))",
+        "    rec = tracing.Recorder()",
+        "    fleet = run.Fleet(run.SRC, ctx.paths, ctx.servers, spans_dir)",
+        "    try:",
+        "        phase = run.query_phase(ctx, fleet, run.query_inputs(ctx, 0),",
+        "                                0.5, rec)",
+        "    finally:",
+        "        stderr = fleet.close()",
+        "    servers = [json.loads((spans_dir / f'server_{i}.json').read_text())",
+        "               for i in range(ctx.servers)]",
+        "    problems = [f'server {i} stderr: {err[-300:]!r}'",
+        "                for i, err in stderr.items()]",
+        "    if phase.measured:",
+        "        problems += run.layer_metrics(ctx, rec, servers, 0.0, phase)[1]",
+        "    print(json.dumps({'workload': name, 'failed': phase.failed,",
+        "                      'measured': phase.measured,",
+        "                      'reasons': dict(phase.reasons),",
+        "                      'problems': problems[:5]}))",
+    ])
+    workloads = [w["name"] for w in json.loads(
+        (BENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script, str(tmp_path), *workloads],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["workload"] for r in results] == workloads
+    for r in results:
+        assert r["failed"] == 0 and r["measured"] > 0, r
+        assert r["problems"] == [], r
+
+
 # ---------------------------------------------------------------------------
 # End-to-end queries.
 # ---------------------------------------------------------------------------
@@ -508,6 +627,14 @@ def test_load_database_rejects_bad_lines(tmp_path):
     path.write_bytes(b"1\f0\n1\x1c1\n")
     with pytest.raises(ParameterError, match="line 1 is not a decimal"):
         load_database(str(path), 5)
+    # A blank line before the last residue would shift every later entry;
+    # blank lines after it are kept out.
+    for text in ("1\n\n0\n", "1\n \t\n0\n"):
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="db line 2 is empty"):
+            load_database(str(path), 5)
+    path.write_text("1\n0\n\n \n")
+    assert load_database(str(path), 5)[0] == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +646,6 @@ def test_load_database_rejects_bad_lines(tmp_path):
 def test_transcript_share_bytes_identical(params_b, scheme_b, family_b2):
     f0 = PointFunction(2, 5, 1, 1)
     f1 = PointFunction(2, 5, 2, 3)
-    for slot in range(scheme_b.n):
-        report = check_distribution_equality(params_b, family_b2, scheme_b,
-                                             f0, f1, slot, as_bytes=True)
-        assert not report.skipped and report.ok
+    report = check_distribution_equality(params_b, family_b2, scheme_b,
+                                         f0, f1)
+    assert not report.skipped and report.ok

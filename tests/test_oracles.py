@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from itdpf import oracles
 from itdpf.dpf import PointFunction
 from itdpf.errors import FamilyViolationError
 from itdpf.interpolation import InterpolationScheme
@@ -189,21 +190,37 @@ def test_reconstruction_detects_corrupted_family_entry(
 # ---------------------------------------------------------------------------
 
 def test_share_multisets_identical_all_slots(params_b, scheme_b, family_b2):
-    f0 = PointFunction(2, 5, 1, 1)
-    f1 = PointFunction(2, 5, 2, 3)
-    for slot in range(scheme_b.n):
-        report = check_distribution_equality(params_b, family_b2, scheme_b,
-                                             f0, f1, slot)
-        assert not report.skipped
-        assert report.ok, report.failures
-
-
-def test_share_multisets_identical_as_wire_bytes(params_b, scheme_b, family_b2):
+    # One call covers every slot, comparing the share bytes a server
+    # receives, then runs the mask grid once: 2 functions x 3 blinds.
     f0 = PointFunction(2, 5, 1, 1)
     f1 = PointFunction(2, 5, 2, 3)
     report = check_distribution_equality(params_b, family_b2, scheme_b,
-                                         f0, f1, 0, as_bytes=True)
-    assert report.ok
+                                         f0, f1)
+    assert not report.skipped
+    assert report.ok, report.failures
+    assert report.cases == scheme_b.n + 6
+
+
+@pytest.mark.parametrize("altered", [0, 3])
+def test_altered_share_names_its_slot(params_b, scheme_b, family_b2,
+                                      monkeypatch, altered):
+    # f1's share at one slot gets a constant first entry: exactly that
+    # slot's multiset differs.
+    f0 = PointFunction(2, 5, 1, 1)
+    f1 = PointFunction(2, 5, 2, 3)
+    honest = oracles.shares_from_logs
+
+    def shares(params, family, scheme, alpha, logs):
+        out = honest(params, family, scheme, alpha, logs)
+        if (alpha == f1.alpha
+                and scheme.point_logs == (scheme_b.point_logs[altered],)):
+            out = [(params.H_enc[0],) + share[1:] for share in out]
+        return out
+
+    monkeypatch.setattr(oracles, "shares_from_logs", shares)
+    report = check_distribution_equality(params_b, family_b2, scheme_b,
+                                         f0, f1)
+    assert report.failures == [{"kind": "share_multiset", "slot": altered}]
 
 
 def test_share_multisets_identical_over_product_family(params_b, scheme_b):
@@ -214,17 +231,15 @@ def test_share_multisets_identical_over_product_family(params_b, scheme_b):
     f0 = PointFunction(8, 5, 1, 1)
     f1 = PointFunction(8, 5, 8, 3)
     assert all(a != b for a, b in zip(family.v(1), family.v(8)))
-    for slot in range(scheme_b.n):
-        report = check_distribution_equality(params_b, family, scheme_b,
-                                             f0, f1, slot)
-        assert not report.skipped
-        assert report.ok, report.failures
+    report = check_distribution_equality(params_b, family, scheme_b, f0, f1)
+    assert not report.skipped
+    assert report.ok, report.failures
 
 
 def test_equal_functions_trivially_equal(params_b, scheme_b, family_b2):
     f = PointFunction(2, 5, 1, 2)
     report = check_distribution_equality(params_b, family_b2, scheme_b,
-                                         f, f, 1)
+                                         f, f)
     assert report.ok
 
 
@@ -232,7 +247,7 @@ def test_budget_exceeded_reports_skip(params_b, scheme_b, family_b8):
     f0 = PointFunction(8, 5, 1, 1)
     f1 = PointFunction(8, 5, 2, 3)
     report = check_distribution_equality(params_b, family_b8, scheme_b,
-                                         f0, f1, 0, enumeration_budget=10)
+                                         f0, f1, enumeration_budget=10)
     assert report.skipped is not None
     assert report.ok                      # skipped, not failed
 
