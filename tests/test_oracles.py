@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from itdpf import oracles
-from itdpf.dpf import PointFunction
+from itdpf.dpf import PointFunction, make_shares
 from itdpf.errors import FamilyViolationError
 from itdpf.interpolation import InterpolationScheme
 from itdpf.matching import MatchingFamily, product_family, trivial_family
@@ -199,6 +200,26 @@ def test_share_multisets_identical_all_slots(params_b, scheme_b, family_b2):
     assert not report.skipped
     assert report.ok, report.failures
     assert report.cases == scheme_b.n + 6
+
+
+def test_share_multisets_identical_as_wire_bytes(params_b, scheme_b, family_b2):
+    # The bytes a server receives for slot 0, built on the upload path
+    # (make_shares, then Field.pack) over every blind, form the same
+    # multiset for f0 and f1, as the oracle reports.
+    f0 = PointFunction(2, 5, 1, 1)
+    f1 = PointFunction(2, 5, 2, 3)
+    fld = params_b.field
+
+    def wire_multiset(func):
+        return sorted(
+            fld.pack(make_shares(params_b, family_b2, scheme_b, func.alpha,
+                                 list(blind))[0])
+            for blind in itertools.product(params_b.H, repeat=family_b2.h))
+
+    assert wire_multiset(f0) == wire_multiset(f1)
+    report = check_distribution_equality(params_b, family_b2, scheme_b,
+                                         f0, f1)
+    assert report.ok, report.failures
 
 
 @pytest.mark.parametrize("altered", [0, 3])
