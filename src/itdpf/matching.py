@@ -74,37 +74,11 @@ def dot_mod(u, v, modulus: int) -> int:
     return sum(a * b for a, b in zip(u, v)) % modulus
 
 
-def trivial_family(modulus: int, h: int) -> MatchingFamily:
-    """Standard-basis family of size N = h.
-
-    u_i is the i-th basis vector and v_j the all-ones vector with a zero
-    at position j, so u_i . v_i = 0 and u_i . v_j = 1 for i != j; it is
-    valid for every canonical set since 1 reduces to 1 mod every prime.
-    """
-    _check_bound("h", h)
-    U = tuple(tuple(1 if j == i else 0 for j in range(h)) for i in range(h))
-    V = tuple(tuple(0 if j == i else 1 for j in range(h)) for i in range(h))
-    return MatchingFamily(modulus, h, U, V, certified=True)
-
-
-def product_family(params: DpfParams, h: int) -> MatchingFamily:
-    """CRT product family of size N = k^d with k = h/d, where d counts the
-    primes q_0 < ... < q_{d-1} of M (those of m, plus p).
-
-    Coordinate block t holds positions t*k .. t*k+k-1, and e_t is the CRT
-    idempotent (1 mod q_t, 0 mod every other prime).  Write
-    x - 1 = sum_t a_t*k^t: u_x is e_t at position a_t of block t, and v_x
-    is e_t everywhere in block t except there.  So u_x . v_y is
-    [a_t != b_t] mod each q_t: 0 exactly when x = y, else in S_M.
-    """
-    _check_bound("h", h)
-    primes = sorted(params.primes + (params.p,))
-    d, M = len(primes), params.M
-    if h % d:
-        raise ParameterError(f"h={h} is not a multiple of the {d} primes of M")
-    k = h // d
-    _check_bound("N", k ** d)
-    idempotents = [M // q * pow(M // q, -1, q) % M for q in primes]
+def _block_family(M: int, k: int, idempotents) -> MatchingFamily:
+    """N = k^d pairs over d blocks of k coordinates, block t holding e_t.
+    With x - 1 = sum_t a_t*k^t, u_x is e_t at position a_t of block t and
+    v_x is e_t everywhere in block t except there."""
+    d = len(idempotents)
     U, V = [], []
     for x in range(k ** d):
         digits = [x // k ** t % k for t in range(d)]
@@ -112,7 +86,32 @@ def product_family(params: DpfParams, h: int) -> MatchingFamily:
                        for e, a in zip(idempotents, digits) for i in range(k)))
         V.append(tuple(0 if i == a else e
                        for e, a in zip(idempotents, digits) for i in range(k)))
-    return MatchingFamily(M, h, tuple(U), tuple(V), certified=True)
+    return MatchingFamily(M, k * d, tuple(U), tuple(V), certified=True)
+
+
+def trivial_family(modulus: int, h: int) -> MatchingFamily:
+    """Standard-basis family of size N = h, one block with e = 1: u_i is
+    the i-th basis vector and v_j the all-ones vector with a zero at
+    position j, so u_i . v_i = 0 and u_i . v_j = 1 for i != j; it is
+    valid for every canonical set since 1 reduces to 1 mod every prime."""
+    _check_bound("h", h)
+    return _block_family(modulus, h, (1,))
+
+
+def product_family(params: DpfParams, h: int) -> MatchingFamily:
+    """CRT product family of size N = k^d with k = h/d, where d counts the
+    primes q_0 < ... < q_{d-1} of M (those of m, plus p).  Block t holds
+    the CRT idempotent e_t (1 mod q_t, 0 mod every other prime), so
+    u_x . v_y is [a_t != b_t] mod each q_t, for a and b the base-k digits
+    of x - 1 and y - 1: 0 exactly when x = y, else in S_M."""
+    _check_bound("h", h)
+    primes = sorted(params.primes + (params.p,))
+    d, M = len(primes), params.M
+    if h % d:
+        raise ParameterError(f"h={h} is not a multiple of the {d} primes of M")
+    _check_bound("N", (h // d) ** d)
+    return _block_family(M, h // d, [M // q * pow(M // q, -1, q) % M
+                                     for q in primes])
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,9 @@ class DpfParams:
     S_M: tuple[int, ...]
     n_target: int
     # The integer views of H that the serving path reads, built with the
-    # tuple so that threads only ever read them: H_enc[k] is H[k].enc,
-    # and H_log maps each encoding in H to its index, so c lies in H
-    # exactly when c is a key.  m entries, so no full-field table.
+    # tuple so that threads only ever read them: H_enc[k] is H[k].enc, and
+    # H_log maps each encoding in H to its log, for the membership test and
+    # the walk on a field without tables.  m entries, no full-field table.
     H_enc: tuple[int, ...] = dataclasses.field(repr=False, compare=False)
     H_log: dict[int, int] = dataclasses.field(repr=False, compare=False)
 

@@ -3,9 +3,10 @@
 Keys hold integer encodings from keygen to the answer: keygen,
 serialize_key, deserialize_key, check_key, evaluate_key and pir_answer
 run without any Field arithmetic or decode, and agree with the
-FieldElement reference oracles.convert_share.  Share entries are looked
-up in the log index of H, the monomial is read from H by its log, and
-evaluation walks the support of u_x, never the dense row.  A PIR
+FieldElement reference oracles.convert_share.  With tables, evaluation
+reads the logs of the share entries from the field's own tables and
+never the log index of H, and it reads only the entries on the support
+of u_x, never the dense row or the key's other entries.  A PIR
 request is answered by pir_answer alone, never by evaluate_key or
 evaluate_all.  The key codec maps
 elements to packed coefficient bytes through the field's byte tables,
@@ -21,15 +22,18 @@ request write to the params, family or scheme that a server shares.
 import functools
 import random
 import struct
+from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
 from itdpf import dpf, protocol, server
-from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, PointFunction,
-                       check_key, coeff_width, deserialize_key, evaluate_all,
-                       evaluate_key, keygen, pir_answer, serialize_key)
+from itdpf.dpf import (KEY_HEADER_LEN, KEY_MAGIC, KEY_VERSION, DpfKey,
+                       PointFunction, check_key, coeff_width,
+                       deserialize_key, evaluate_all, evaluate_key, keygen,
+                       pir_answer, serialize_key)
 from itdpf.errors import KeyParseError
 from itdpf.field import Field
 from itdpf.interpolation import build_scheme, scheme_from_json, scheme_to_json
@@ -114,6 +118,51 @@ def test_query_path_without_field_pow_or_dense_rows(request, wide, fixture,
                            for row in values]
         assert [sum(col) % p for col in zip(*values)] == [
             func.beta if x == 3 else 0 for x in range(1, size + 1)]
+
+
+class _UnreadableLogs(Mapping):
+    """An H_log that fails the test when anything reads it."""
+
+    def _read(self, *args):
+        raise AssertionError("params.H_log was read")
+
+    __getitem__ = __iter__ = __len__ = _read
+
+
+@pytest.mark.parametrize("fixture", ["a", "b"])
+def test_evaluation_reads_field_logs_on_the_support_only(request, fixture):
+    """On a field with tables, evaluate_key, evaluate_all and pir_answer
+    read the field's logs, never params.H_log, and evaluate_key(key, x)
+    is the same with every mask and share entry off the support of u_x
+    set to 0, so it reads no other entry."""
+    params = request.getfixturevalue(f"params_{fixture}")
+    scheme = request.getfixturevalue(f"scheme_{fixture}")
+    guarded = replace(params, H_log=_UnreadableLogs())
+    p = params.p
+    for family in (trivial_family(params.M, 8), product_family(params, 6)):
+        size = family.size
+        rng = random.Random(size)
+        db = [rng.randrange(p) for _ in range(size)]
+        keys = keygen(params, family, scheme,
+                      PointFunction(size, p, 2, p - 1), rng)
+        for key in keys:
+            expected = [reference_output(params, family, scheme, key, x)
+                        for x in range(1, size + 1)]
+            assert [evaluate_key(guarded, family, scheme, key, x)
+                    for x in range(1, size + 1)] == expected
+            assert evaluate_all(guarded, family, scheme, key) == expected
+            assert pir_answer(guarded, family, scheme, key, db) == (
+                sum(d * y for d, y in zip(db, expected)) % p)
+            for x, support in enumerate(family.supports, 1):
+                on = {i for i, _ in support}
+                holed = DpfKey(
+                    key.index,
+                    key.mask[:1] + tuple(w if i in on else 0
+                                         for i, w in enumerate(key.mask[1:])),
+                    tuple(c if i in on else 0
+                          for i, c in enumerate(key.share)))
+                assert evaluate_key(guarded, family, scheme, holed, x) == (
+                    expected[x - 1])
 
 
 def test_width_two_round_trip_and_evaluation(wide):
@@ -241,8 +290,9 @@ def test_struct_codec_gives_the_same_keys(request, wide, table_free,
 @pytest.mark.parametrize("fixture", ["a", "b", "wide"])
 def test_table_free_field_gives_the_same_results(request, wide, table_free,
                                                  fixture):
-    """On both families, a field without tables runs _point_sums'
-    Field.mul_enc term and the struct codec, and agrees with the tables."""
+    """On both families, a field without tables runs the table-free
+    branch of _point_sums (evaluate_key at every x, evaluate_all and
+    pir_answer) and the struct codec, and agrees with the tables."""
     params, scheme = _fixture(request, wide, fixture)
     p = params.p
 
@@ -255,6 +305,8 @@ def test_table_free_field_gives_the_same_results(request, wide, table_free,
         parsed = [deserialize_key(params, scheme.n, data) for data in wire]
         return (keys, wire, parsed, rng.getstate(),
                 [check_key(params, scheme, family.h, key) for key in parsed],
+                [[evaluate_key(params, family, scheme, key, x)
+                  for x in range(1, family.size + 1)] for key in parsed],
                 [evaluate_all(params, family, scheme, key) for key in parsed],
                 [pir_answer(params, family, scheme, key, db)
                  for key in parsed])
