@@ -24,7 +24,7 @@ from . import dpf, interpolation, matching, oracles, params as params_mod
 from . import protocol
 from . import server as server_mod
 from .errors import (ArtifactMismatchError, FamilyViolationError,
-                     KeyParseError, LiftInconsistentError, ParameterError)
+                     LiftInconsistentError, ParameterError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -179,7 +179,7 @@ def _verify_keys(params, family, scheme, digest, key_paths, reports):
         try:
             key = dpf.key_from_json(params, scheme.n, _read(path),
                                     expected_digest=digest)
-        except (ParameterError, KeyParseError) as exc:
+        except ParameterError as exc:
             parse_report.failures.append({"path": path, "error": str(exc)})
             continue
         check_report.cases += 1
@@ -218,12 +218,6 @@ def cmd_verify(args) -> int:
     params, digest, scheme, family = _load_artifacts(args)
     rng = random.Random(args.seed)
     reports: list[oracles.OracleReport] = []
-
-    lift_report = oracles.OracleReport("lift_condition")
-    lift = params_mod.check_lift_condition(params)
-    lift_report.cases = len(lift.witnesses)
-    lift_report.failures = [w.s for w in lift.witnesses if not w.ok]
-    reports.append(lift_report)
 
     family_report = oracles.OracleReport("family_certificate")
     cert = matching.verify_family(family, params.S_M)

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit codes: ParameterError -> 2,
-LiftInconsistentError -> 3, ArtifactMismatchError -> 4.
+LiftInconsistentError -> 3, ArtifactMismatchError -> 4.  Bad input is
+one type: KeyParseError is a ParameterError that also names the byte
+offset of the fault, so the CLI and the server catch ParameterError
+alone.
 """
 
 
@@ -26,7 +29,7 @@ class FamilyViolationError(RuntimeError):
     """A dot product landed outside the allowed canonical set."""
 
 
-class KeyParseError(ValueError):
+class KeyParseError(ParameterError):
     """Malformed serialized key; carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):

@@ -159,36 +159,6 @@ def build_params(primes, p: int, tau_hint: int = 1) -> DpfParams:
     )
 
 
-@dataclass(frozen=True)
-class LiftWitness:
-    s: int
-    s_mod_m: int
-    s_mod_p: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LiftConditionReport:
-    ok: bool
-    witnesses: tuple[LiftWitness, ...]
-
-
-def check_lift_condition(params: DpfParams) -> LiftConditionReport:
-    """Check that every s in S_M decomposes (via CRT) into a residue of
-    S_m and a residue below the multiplicity.
-
-    Always holds for canonical sets with multiplicity 2; the per-element
-    witness list guards against future non-canonical set choices.
-    Failures are reported, never raised.
-    """
-    s_m = set(params.S_m)
-    witnesses = []
-    for s in params.S_M:
-        a, b = s % params.m, s % params.p
-        witnesses.append(LiftWitness(s, a, b, a in s_m and b < MULTIPLICITY))
-    return LiftConditionReport(all(w.ok for w in witnesses), tuple(witnesses))
-
-
 # ---------------------------------------------------------------------------
 # Persistence: canonical JSON, the single source of truth for the CLI chain.
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import threading
 from . import protocol
 from .dpf import (DpfKey, check_key, deserialize_key, evaluate_key,
                   pir_answer)
-from .errors import KeyParseError, ParameterError
+from .errors import ParameterError
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
 from .params import DpfParams
@@ -191,7 +191,7 @@ class EvalServer:
             # Unknown type: answer with an error, keep the connection open.
             reply = protocol.error_message(
                 protocol.ERR_BAD_REQUEST, f"unknown message type {msg.type}")
-        except (ParameterError, KeyParseError) as exc:
+        except ParameterError as exc:
             reply = protocol.error_message(protocol.ERR_BAD_REQUEST, str(exc))
         except Exception as exc:  # never crash the connection loop
             reply = protocol.error_message(protocol.ERR_INTERNAL, repr(exc))

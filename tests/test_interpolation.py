@@ -55,6 +55,32 @@ def test_hasse_well_defined_mod_M(s, log, k):
     assert hasse_monomial(params, s, k, b) == hasse_monomial(params, s + params.M, k, b)
 
 
+def test_hasse_monomial_matches_repeated_products(params_a, scheme_a,
+                                                  params_b):
+    """For k in {0, 1} and every s in S_M, hasse_monomial equals b's
+    powers built by repeated multiplication: b^(s mod m), and
+    (s mod p)*b^((s-1) mod m), zero when s mod p = 0.  verify_scheme
+    checks every S_M row, so a disagreement between these two is the one
+    fault its random polynomials could still catch.  Run for every b in H
+    on F_25 and on F_{11^6} (no tables), and for the scheme's points on
+    F_512."""
+    big = build_params((3, 7), 11)
+    assert big.field.log_exp is None
+    for params, points in ((params_b, params_b.H), (big, big.H),
+                           (params_a, scheme_a.points)):
+        fld = params.field
+        for b in points:
+            powers = [fld.one]
+            for _ in range(params.m - 1):
+                powers.append(powers[-1] * b)
+            for s in params.S_M:
+                assert hasse_monomial(params, s, 0, b) == powers[s % params.m]
+                scalar = s % params.p
+                expected = (fld.const(scalar) * powers[(s - 1) % params.m]
+                            if scalar else fld.zero)
+                assert hasse_monomial(params, s, 1, b) == expected
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracle: over F_25 no 3-point subset of the order-6 subgroup
 # interpolates the constant term for exponents {0, 1, 3, 4}.  The s = 0

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itdpf.errors import ParameterError
-from itdpf.params import (build_params, canonical_set, check_lift_condition,
-                          params_from_json, params_to_json, sparsity_target)
+from itdpf.params import (build_params, canonical_set, params_from_json,
+                          params_to_json, sparsity_target)
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +135,6 @@ def test_crt_containment_property(primes, p):
         assert s % params.m in s_m
         assert s % params.p in (0, 1)
     assert 0 in params.S_m and 0 in params.S_M
-
-
-# ---------------------------------------------------------------------------
-# Lift condition report.
-# ---------------------------------------------------------------------------
-
-def test_lift_condition_witnesses(params_b):
-    report = check_lift_condition(params_b)
-    assert report.ok
-    by_s = {w.s: w for w in report.witnesses}
-    assert by_s[21].s_mod_m == 3 and by_s[21].s_mod_p == 1
-    assert by_s[0].s_mod_m == 0 and by_s[0].s_mod_p == 0
-
-
-def test_lift_condition_all_eight(params_a):
-    report = check_lift_condition(params_a)
-    assert report.ok
-    assert len(report.witnesses) == 8
-    assert all(w.s_mod_p in (0, 1) for w in report.witnesses)
 
 
 # ---------------------------------------------------------------------------

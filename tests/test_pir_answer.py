@@ -11,9 +11,11 @@ TABLE_LIMIT and so must answer through Field products without building
 any full-field table.
 Over F_{2^tau} with tables, pir_answer is two XOR sums of its own and
 never enters the _point_sums walk of evaluate_all; on every other field
-the two share that walk.  So on F_{11^6}, where no other test reaches
-the walk's table-free branch, both are also checked against the
-FieldElement reference oracles.convert_share.
+the two share that walk.  On F_{11^6}, which has no tables
+without any patch, both are also checked against the FieldElement
+reference oracles.convert_share; test_hot_path's table_free fixture
+runs the same table-free branch on F_25, F_512 and p = 257 (with
+TABLE_LIMIT patched) and compares it with the tables.
 """
 
 import random
