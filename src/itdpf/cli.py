@@ -19,12 +19,13 @@ import random
 import sys
 from pathlib import Path
 
-from . import client as client_mod
-from . import dpf, interpolation, matching, oracles, params as params_mod
+# client and oracles are imported by the commands that use them (query;
+# verify and bench), so that `serve` loads neither.
+from . import dpf, interpolation, matching, params as params_mod
 from . import protocol
 from . import server as server_mod
 from .errors import (ArtifactMismatchError, FamilyViolationError,
-                     LiftInconsistentError, ParameterError)
+                     LiftInconsistentError, ParameterError, QueryError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -171,6 +172,7 @@ def cmd_fulleval(args) -> int:
 
 
 def _verify_keys(params, family, scheme, digest, key_paths, reports):
+    from . import oracles
     keys = []
     parse_report = oracles.OracleReport("key_parse")
     check_report = oracles.OracleReport("key_check")
@@ -213,6 +215,7 @@ def _verify_keys(params, family, scheme, digest, key_paths, reports):
 
 
 def cmd_verify(args) -> int:
+    from . import oracles
     if args.checks < 0 or args.budget < 0:
         raise ParameterError("--checks and --budget must be >= 0")
     params, digest, scheme, family = _load_artifacts(args)
@@ -282,6 +285,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import oracles
     params, _ = _load_params(args.params)
     scheme = interpolation.scheme_from_json(params, _read(args.scheme))
     h_values = _parse_int_list(args.h_values)
@@ -312,6 +316,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from . import client
     params, _, scheme, family = _load_artifacts(args)
     addresses = []
     for part in args.servers.split(","):
@@ -321,11 +326,11 @@ def cmd_query(args) -> int:
             raise ParameterError(f"bad server address {part!r}")
         addresses.append((host, int(port)))
     try:
-        result = client_mod.run_query(addresses, params, family, scheme,
-                                      args.alpha, args.beta, args.seed,
-                                      x=args.x, pir=args.pir)
+        result = client.run_query(addresses, params, family, scheme,
+                                  args.alpha, args.beta, args.seed,
+                                  x=args.x, pir=args.pir)
     except (OSError, protocol.WireError) as exc:
-        raise client_mod.QueryError(f"{type(exc).__name__}: {exc}") from exc
+        raise QueryError(f"{type(exc).__name__}: {exc}") from exc
     print(f"result = {result.value}")
     _emit({"command": "query", "value": result.value,
            "responses": list(result.responses),
@@ -479,7 +484,7 @@ def main(argv=None) -> int:
     except ArtifactMismatchError as exc:
         print(f"artifact mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except client_mod.QueryError as exc:
+    except QueryError as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except BrokenPipeError:

@@ -14,15 +14,11 @@ import socket
 from dataclasses import dataclass
 
 from . import protocol
-from .dpf import PointFunction, keygen, serialize_key
-from .errors import ParameterError
+from .dpf import PointFunction, check_input, keygen, serialize_key
+from .errors import ParameterError, QueryError
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
 from .params import DpfParams
-
-
-class QueryError(RuntimeError):
-    """A server answered with an error or the replies were inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -44,32 +40,15 @@ def _connect_all(addresses) -> list[socket.socket]:
     return socks
 
 
-# Payload bytes of each reply type: a bare upload ack, a 2-byte residue,
-# and a residue followed by the 32-byte db digest.
-_REPLY_SIZES = {protocol.KEY_UPLOAD: 0, protocol.EVAL_RESP: 2,
-               protocol.PIR_RESP: 34}
-
-
-def _expect(msg: protocol.Message, expected_type: int) -> protocol.Message:
-    if msg.type == protocol.ERROR:
-        if not msg.payload:
-            raise QueryError("server error without an error code")
-        raise QueryError(f"server error {msg.error_name()}: "
-                         f"{msg.payload[1:].decode(errors='replace')}")
-    if msg.type != expected_type:
-        raise QueryError(f"unexpected reply type {msg.type}")
-    if len(msg.payload) != _REPLY_SIZES[expected_type]:
-        raise QueryError(f"reply type {msg.type} has {len(msg.payload)} "
-                         f"payload bytes, expected "
-                         f"{_REPLY_SIZES[expected_type]}")
-    return msg
-
-
-def _residue(msg: protocol.Message, p: int) -> int:
-    value = int.from_bytes(msg.payload[:2], "big")
-    if value >= p:
-        raise QueryError(f"reply residue {value} is not below p={p}")
-    return value
+def _ask(sock: socket.socket, msg_type: int, payload: bytes = b""
+         ) -> protocol.Message:
+    """The reply to one request, if it has the shape protocol.SHAPES
+    gives; QueryError otherwise."""
+    reply = protocol.request(sock, msg_type, payload)
+    error = protocol.reply_error(msg_type, reply)
+    if error:
+        raise QueryError(error)
+    return reply
 
 
 def run_query(addresses, params: DpfParams, family: MatchingFamily,
@@ -91,40 +70,31 @@ def run_query(addresses, params: DpfParams, family: MatchingFamily,
         raise ParameterError(
             f"need exactly {2 * n} servers, got {len(addresses)}")
     func = PointFunction(family.size, params.p, alpha, beta)
-    if x is not None and not 1 <= x <= family.size:
-        raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
+    if x is not None:
+        check_input(family, x)
+    request = ((protocol.PIR_REQ, b"") if pir else
+               (protocol.EVAL_REQ, x.to_bytes(protocol.X_BYTES, "big")))
 
     rng = random.SystemRandom() if seed is None else random.Random(seed)
     keys = keygen(params, family, scheme, func, rng)
     socks = _connect_all(addresses)
     try:
         for sock, key in zip(socks, keys):
-            reply = protocol.request(sock, protocol.KEY_UPLOAD,
-                                     serialize_key(params, key))
-            _expect(reply, protocol.KEY_UPLOAD)
-
-        responses = []
-        digests = []
+            _ask(sock, protocol.KEY_UPLOAD, serialize_key(params, key))
+        responses, digests = [], set()
         for sock in socks:
-            if pir:
-                reply = _expect(protocol.request(sock, protocol.PIR_REQ),
-                                protocol.PIR_RESP)
-                digests.append(reply.payload[2:])
-            else:
-                reply = _expect(
-                    protocol.request(sock, protocol.EVAL_REQ,
-                                     x.to_bytes(4, "big")),
-                    protocol.EVAL_RESP)
-            responses.append(_residue(reply, params.p))
+            value, digest = protocol.read_residue(_ask(sock, *request))
+            if value >= params.p:
+                raise QueryError(
+                    f"reply residue {value} is not below p={params.p}")
+            responses.append(value)
+            digests.add(digest)
     finally:
         for s in socks:
             s.close()
 
-    digest_hex = None
-    if pir:
-        if len(set(digests)) != 1:
-            raise QueryError("servers reported divergent database digests")
-        digest_hex = digests[0].hex()
-    value = sum(responses) % params.p
-    return QueryResult(value=value, responses=tuple(responses),
-                       db_digest=digest_hex)
+    if len(digests) != 1:
+        raise QueryError("servers reported divergent database digests")
+    return QueryResult(value=sum(responses) % params.p,
+                       responses=tuple(responses),
+                       db_digest=digests.pop().hex() if pir else None)

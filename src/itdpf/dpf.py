@@ -204,6 +204,11 @@ def _point_sums(params: DpfParams, scheme: InterpolationScheme, key: DpfKey,
         yield total
 
 
+def check_input(family: MatchingFamily, x: int) -> None:
+    if not 1 <= x <= family.size:
+        raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
+
+
 def evaluate_key(params: DpfParams, family: MatchingFamily,
                  scheme: InterpolationScheme, key: DpfKey, x: int) -> int:
     """One server's output share at input x, a residue mod p: the
@@ -213,8 +218,7 @@ def evaluate_key(params: DpfParams, family: MatchingFamily,
     derivative of the monomial is its value again, and the gradient's
     factor a1 / b is -a0 by the closed-form lift, so no field inverse
     is taken.  The key must pass check_key."""
-    if not 1 <= x <= family.size:
-        raise ParameterError(f"x={x} outside the domain [1, {family.size}]")
+    check_input(family, x)
     supports = (family.supports[x - 1],)
     return next(_point_sums(params, scheme, key, supports)) % params.p
 

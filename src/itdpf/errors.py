@@ -1,15 +1,19 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit codes: ParameterError -> 2,
-LiftInconsistentError -> 3, ArtifactMismatchError -> 4.  Bad input is
-one type: KeyParseError is a ParameterError that also names the byte
-offset of the fault, so the CLI and the server catch ParameterError
-alone.
+The CLI maps these onto its exit codes: QueryError -> 1,
+ParameterError -> 2, LiftInconsistentError -> 3, ArtifactMismatchError
+-> 4.  Bad input is one type: KeyParseError is a ParameterError that
+also names the byte offset of the fault, so the CLI and the server catch
+ParameterError alone.
 """
 
 
 class ParameterError(ValueError):
     """Invalid or incompatible user-supplied parameters / inputs."""
+
+
+class QueryError(RuntimeError):
+    """A server answered with an error or the replies were inconsistent."""
 
 
 class LiftInconsistentError(RuntimeError):

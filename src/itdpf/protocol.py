@@ -1,4 +1,4 @@
-"""Binary wire protocol for the multi-server demo.
+"""Binary wire protocol for the multi-server demo: every message's shape.
 
 Frame layout (all lengths big-endian):
 
@@ -8,13 +8,17 @@ Frame layout (all lengths big-endian):
     4 bytes  payload length
     N bytes  payload
 
-Payloads:
-    KEY_UPLOAD  serialized key (binary form from the key module)
-    EVAL_REQ    4-byte input x (1-based)
-    EVAL_RESP   2-byte residue mod p
-    PIR_REQ     empty
-    PIR_RESP    2-byte residue mod p + 32-byte raw sha256 of the db file
-    ERROR       1-byte code + utf-8 message
+SHAPES gives each request's payload and its reply's:
+
+    KEY_UPLOAD  serialized key   ->  KEY_UPLOAD  empty (the ack)
+    EVAL_REQ    4-byte input x   ->  EVAL_RESP   2-byte residue mod p
+    PIR_REQ     empty            ->  PIR_RESP    residue + 32-byte db sha256
+    any                          ->  ERROR       1-byte code + utf-8 text
+
+A server checks a request's type and shape (request_error, then the
+key codec or x in [1, N]) before its connection's key (NO_KEY), so the
+error code depends only on the frame, the server and whether a key is
+held.  A client checks each reply with reply_error.
 """
 
 from __future__ import annotations
@@ -43,6 +47,16 @@ ERROR_NAMES = {
     ERR_NO_KEY: "NO_KEY",
     ERR_BAD_REQUEST: "BAD_REQUEST",
     ERR_INTERNAL: "INTERNAL",
+}
+
+X_BYTES = 4           # an EVAL_REQ's input x
+RESIDUE_BYTES = 2     # a residue mod p, p <= field.MAX_P = 2^16
+# Each request type: its name, its payload bytes (None: a key, which the
+# key codec checks), the type of its reply and the reply's payload bytes.
+SHAPES = {
+    KEY_UPLOAD: ("KEY_UPLOAD", None, KEY_UPLOAD, 0),
+    EVAL_REQ: ("EVAL_REQ", X_BYTES, EVAL_RESP, RESIDUE_BYTES),
+    PIR_REQ: ("PIR_REQ", 0, PIR_RESP, RESIDUE_BYTES + 32),
 }
 
 _HEADER = 10
@@ -80,6 +94,43 @@ def pack(msg_type: int, payload: bytes = b"") -> bytes:
 
 def error_message(code: int, text: str = "") -> bytes:
     return pack(ERROR, bytes([code]) + text.encode())
+
+
+def request_error(msg: Message) -> str | None:
+    """Why a server refuses msg for its type or payload size, or None."""
+    if msg.type not in SHAPES:
+        return f"unknown message type {msg.type}"
+    name, size, _, _ = SHAPES[msg.type]
+    if size is None or len(msg.payload) == size:
+        return None
+    return f"{name} payload must be {f'{size} bytes' if size else 'empty'}"
+
+
+def reply_error(request_type: int, msg: Message) -> str | None:
+    """Why msg is not the reply SHAPES gives request_type, or None."""
+    _, _, reply_type, size = SHAPES[request_type]
+    if msg.type == ERROR:
+        if not msg.payload:
+            return "server error without an error code"
+        return (f"server error {msg.error_name()}: "
+                f"{msg.payload[1:].decode(errors='replace')}")
+    if msg.type != reply_type:
+        return f"unexpected reply type {msg.type}"
+    if len(msg.payload) != size:
+        return (f"reply type {msg.type} has {len(msg.payload)} payload "
+                f"bytes, expected {size}")
+    return None
+
+
+def residue_reply(msg_type: int, value: int, digest: bytes = b"") -> bytes:
+    """An EVAL_RESP frame, or with the db digest a PIR_RESP frame."""
+    return pack(msg_type, value.to_bytes(RESIDUE_BYTES, "big") + digest)
+
+
+def read_residue(msg: Message) -> tuple[int, bytes]:
+    """The residue of an EVAL_RESP or PIR_RESP, and the digest after it."""
+    return (int.from_bytes(msg.payload[:RESIDUE_BYTES], "big"),
+            msg.payload[RESIDUE_BYTES:])
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:

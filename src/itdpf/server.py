@@ -6,10 +6,12 @@ addressed to this server's index, then issues point-evaluation or
 private-retrieval requests; the server never sees any other key, so the
 bytes it receives are one key plus public inputs.
 
-An upload is checked (dpf.check_key) before it is stored, so a
-malformed key is refused at upload instead of failing every later
-request.  The key lives with its connection: the handler holds it and
-passes it to each request, so a request is answered with the key
+A request is checked in the order the protocol module gives: type, shape
+(with x in [1, N]), then the key, so a malformed frame is BAD_REQUEST
+with or without one.  An upload is checked (dpf.check_key) before it is
+stored, so a malformed key is refused at upload instead of failing every
+later request.  The key lives with its connection: the handler holds it
+and passes it to each request, so a request is answered with the key
 uploaded on the same connection, never with another client's.  A later
 upload on that connection replaces it.  Evaluation is pure, and the
 shared artifacts are complete before the first connection and only read
@@ -42,8 +44,8 @@ import socket
 import threading
 
 from . import protocol
-from .dpf import (DpfKey, check_key, deserialize_key, evaluate_key,
-                  pir_answer)
+from .dpf import (DpfKey, check_input, check_key, deserialize_key,
+                  evaluate_key, pir_answer)
 from .errors import ParameterError
 from .interpolation import InterpolationScheme
 from .matching import MatchingFamily
@@ -178,59 +180,45 @@ class EvalServer:
     def _handle(self, msg: protocol.Message, key: DpfKey | None
                 ) -> tuple[bytes, DpfKey | None]:
         """The reply to one request on a connection holding `key`, and
-        the key the connection holds after it."""
+        the key the connection holds after it: type, shape, key, work.
+        A refused upload keeps the connection's previous key."""
         try:
+            error = protocol.request_error(msg)
+            if error:
+                raise ParameterError(error)
             if msg.type == protocol.KEY_UPLOAD:
-                return self._handle_upload(msg.payload, key)
+                new = deserialize_key(self.params, self.scheme.n, msg.payload)
+                if new.index != self.index:
+                    return protocol.error_message(
+                        protocol.ERR_KEY_INDEX, f"key index {new.index} "
+                        f"does not match server {self.index}"), key
+                check_key(self.params, self.scheme, self.family.h, new)
+                return protocol.pack(protocol.KEY_UPLOAD), new  # bare ack
             if msg.type == protocol.EVAL_REQ:
-                return self._handle_eval(msg.payload, key), key
-            if msg.type == protocol.PIR_REQ:
-                if msg.payload:
-                    raise ParameterError("PIR_REQ payload must be empty")
-                return self._handle_pir(key), key
-            # Unknown type: answer with an error, keep the connection open.
-            reply = protocol.error_message(
-                protocol.ERR_BAD_REQUEST, f"unknown message type {msg.type}")
+                x = int.from_bytes(msg.payload, "big")
+                check_input(self.family, x)
+            if key is None:
+                reply = protocol.error_message(protocol.ERR_NO_KEY,
+                                               "no key uploaded yet")
+            elif msg.type == protocol.PIR_REQ:
+                reply = self._handle_pir(key)
+            else:
+                y = evaluate_key(self.params, self.family, self.scheme, key, x)
+                reply = protocol.residue_reply(protocol.EVAL_RESP, y)
         except ParameterError as exc:
             reply = protocol.error_message(protocol.ERR_BAD_REQUEST, str(exc))
         except Exception as exc:  # never crash the connection loop
             reply = protocol.error_message(protocol.ERR_INTERNAL, repr(exc))
         return reply, key
 
-    def _handle_upload(self, payload: bytes, key: DpfKey | None
-                       ) -> tuple[bytes, DpfKey | None]:
-        """A refused upload keeps the connection's previous key."""
-        new = deserialize_key(self.params, self.scheme.n, payload)
-        if new.index != self.index:
-            return protocol.error_message(
-                protocol.ERR_KEY_INDEX,
-                f"key index {new.index} does not match server {self.index}"
-            ), key
-        check_key(self.params, self.scheme, self.family.h, new)
-        return protocol.pack(protocol.KEY_UPLOAD), new  # bare ack
-
-    def _handle_eval(self, payload: bytes, key: DpfKey | None) -> bytes:
-        if key is None:
-            return protocol.error_message(protocol.ERR_NO_KEY,
-                                          "no key uploaded yet")
-        if len(payload) != 4:
-            return protocol.error_message(protocol.ERR_BAD_REQUEST,
-                                          "EVAL_REQ payload must be 4 bytes")
-        x = int.from_bytes(payload, "big")
-        y = evaluate_key(self.params, self.family, self.scheme, key, x)
-        return protocol.pack(protocol.EVAL_RESP, y.to_bytes(2, "big"))
-
-    def _handle_pir(self, key: DpfKey | None) -> bytes:
-        if key is None:
-            return protocol.error_message(protocol.ERR_NO_KEY,
-                                          "no key uploaded yet")
+    def _handle_pir(self, key: DpfKey) -> bytes:
         if self.db is None:
             return protocol.error_message(protocol.ERR_BAD_REQUEST,
                                           "server has no database loaded")
         total = pir_answer(self.params, self.family, self.scheme, key,
                            self.db)
-        return protocol.pack(protocol.PIR_RESP,
-                             total.to_bytes(2, "big") + self.db_digest)
+        return protocol.residue_reply(protocol.PIR_RESP, total,
+                                      self.db_digest)
 
 
 def run_server(index: int, port: int, params: DpfParams,

@@ -90,6 +90,35 @@ def test_malformed_eval_payload(fleet, params_b, scheme_b, family_b8):
         assert reply.error_name() == "BAD_REQUEST"
 
 
+def test_malformed_request_is_bad_request_with_or_without_key(
+        fleet, params_b, scheme_b, family_b8):
+    """A request's shape is checked before the key: each malformed frame
+    gets the same BAD_REQUEST, with the same text, before and after an
+    upload on its connection."""
+    servers, _ = fleet
+    key = keygen(params_b, family_b8, scheme_b,
+                 PointFunction(8, 5, 1, 1), random.Random(0))[0]
+    malformed = {
+        (protocol.EVAL_REQ, (1).to_bytes(3, "big")):
+            "EVAL_REQ payload must be 4 bytes",
+        (protocol.EVAL_REQ, (0).to_bytes(4, "big")):
+            "x=0 outside the domain [1, 8]",
+        (protocol.EVAL_REQ, (9).to_bytes(4, "big")):
+            "x=9 outside the domain [1, 8]",
+        (protocol.PIR_REQ, b"\x00"): "PIR_REQ payload must be empty",
+    }
+    with socket.create_connection(("127.0.0.1", servers[0].port)) as sock:
+        for upload in (False, True):
+            if upload:
+                assert protocol.request(
+                    sock, protocol.KEY_UPLOAD, serialize_key(params_b, key)
+                ).type == protocol.KEY_UPLOAD
+            for (msg_type, payload), text in malformed.items():
+                reply = protocol.request(sock, msg_type, payload)
+                assert reply.error_name() == "BAD_REQUEST", (upload, text)
+                assert reply.payload[1:] == text.encode()
+
+
 def test_key_is_bound_to_its_connection(fleet, params_b, scheme_b,
                                         family_b8):
     # Two clients share server 0: each request is answered with the key

@@ -32,3 +32,13 @@ def test_package_root_loads_no_submodule():
 def test_protocol_loads_no_other_module():
     assert _loaded_after("import itdpf.protocol") == ["itdpf",
                                                       "itdpf.protocol"]
+
+
+def test_serve_loads_neither_client_nor_oracles():
+    """`itdpf serve` loads the CLI and runs the server it imports; the
+    client and the oracles are loaded only by the commands that use
+    them (query; verify and bench)."""
+    assert _loaded_after("import itdpf.cli") == [
+        "itdpf", "itdpf.cli", "itdpf.dpf", "itdpf.errors", "itdpf.field",
+        "itdpf.interpolation", "itdpf.matching", "itdpf.params",
+        "itdpf.protocol", "itdpf.server"]

@@ -6,7 +6,9 @@ all 2n servers started through start_background).  The model tracks
 which sockets are open and the key each holds; a refused upload keeps
 the old key.  Every reply must equal what evaluate_key or pir_answer
 give in process for that socket's key, or be an ERROR frame with the
-code the model predicts (NO_KEY before any key), so never INTERNAL.
+code the model predicts, so never INTERNAL: a malformed frame is
+BAD_REQUEST whether or not a key is held, and a well-formed request
+before any key is NO_KEY.
 The server may close a socket only after an unrecoverable frame: a bad
 magic, a bad version or a declared length above MAX_PAYLOAD, on each of
 which it must close it.  Requests also arrive split in two halves with
@@ -123,22 +125,22 @@ SOCKET = st.integers(0, MAX_SOCKETS - 1)
 
 def predict(request, key):
     """The reply the server owes `request` on a connection holding `key`
-    (the exact frame, or an error code) and the key held after it."""
+    (the exact frame, or an error code) and the key held after it.  Every
+    shape check comes first, then NO_KEY, then the answer."""
     if request.kind == "upload":
         return protocol.pack(protocol.KEY_UPLOAD), request.arg
     if request.kind == "wrong_index":
         return protocol.ERR_KEY_INDEX, key
-    if request.kind in ("corrupt", "pir_payload", "unknown"):
+    if request.kind in ("corrupt", "pir_payload", "unknown", "eval_short") or (
+            request.kind == "eval" and not 1 <= request.arg <= N):
         return protocol.ERR_BAD_REQUEST, key
     if key is None:
         return protocol.ERR_NO_KEY, key
     if request.kind == "pir":
         return protocol.pack(protocol.PIR_RESP, PIRS[key].to_bytes(2, "big")
                              + DIGEST), key
-    if request.kind == "eval" and 1 <= request.arg <= N:
-        return protocol.pack(protocol.EVAL_RESP, EVALS[key][request.arg - 1]
-                             .to_bytes(2, "big")), key
-    return protocol.ERR_BAD_REQUEST, key    # x outside [1, N], short payload
+    return protocol.pack(protocol.EVAL_RESP, EVALS[key][request.arg - 1]
+                         .to_bytes(2, "big")), key
 
 
 class Connection:
