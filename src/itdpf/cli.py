@@ -263,7 +263,7 @@ def cmd_verify(args) -> int:
         recon.failures.extend(r2.failures)
     reports.extend([deriv, recon])
 
-    if family.size >= 2 and params.p >= 2:
+    if family.size >= 2:
         f0 = dpf.PointFunction(family.size, params.p, 1, 1 % params.p)
         f1 = dpf.PointFunction(family.size, params.p, 2,
                                min(3, params.p - 1))
@@ -292,7 +292,7 @@ def cmd_bench(args) -> int:
     if not h_values:
         raise ParameterError("--h-values lists no h")
     audits = oracles.key_size_sweep(params, scheme, h_values)
-    slope = 2 * params.tau * dpf.coeff_width(params.p)
+    slope = dpf.key_byte_length(params, 1) - dpf.key_byte_length(params, 0)
     print(f"{'h':>6} {'measured':>10} {'formula':>10} {'ok':>4}")
     rows = []
     residual = 0

@@ -2,13 +2,16 @@
 
 The client plays the trusted dealer: it generates the 2n keys of a
 point function, uploads exactly one key per server, then either
-evaluates a single input or retrieves a database entry privately.  All
-connections are established before any key byte is sent, so an
-unreachable server aborts the query with no partial disclosure.
+evaluates a single input or retrieves a database entry privately.  The
+2n connections open in one ExitStack, every one of them before any key
+byte is sent, so an unreachable server aborts the query with no partial
+disclosure, and every connection opened is closed when the query ends or
+fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 from dataclasses import dataclass
@@ -26,18 +29,6 @@ class QueryResult:
     value: int
     responses: tuple[int, ...]
     db_digest: str | None = None
-
-
-def _connect_all(addresses) -> list[socket.socket]:
-    socks = []
-    try:
-        for host, port in addresses:
-            socks.append(socket.create_connection((host, port), timeout=10))
-    except OSError:
-        for s in socks:
-            s.close()
-        raise
-    return socks
 
 
 def _ask(sock: socket.socket, msg_type: int, payload: bytes = b""
@@ -77,8 +68,10 @@ def run_query(addresses, params: DpfParams, family: MatchingFamily,
 
     rng = random.SystemRandom() if seed is None else random.Random(seed)
     keys = keygen(params, family, scheme, func, rng)
-    socks = _connect_all(addresses)
-    try:
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(
+                     socket.create_connection((host, port), timeout=10))
+                 for host, port in addresses]
         for sock, key in zip(socks, keys):
             _ask(sock, protocol.KEY_UPLOAD, serialize_key(params, key))
         responses, digests = [], set()
@@ -89,9 +82,6 @@ def run_query(addresses, params: DpfParams, family: MatchingFamily,
                     f"reply residue {value} is not below p={params.p}")
             responses.append(value)
             digests.add(digest)
-    finally:
-        for s in socks:
-            s.close()
 
     if len(digests) != 1:
         raise QueryError("servers reported divergent database digests")

@@ -24,8 +24,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
 from .dpf import (DpfKey, PointFunction, keygen, make_shares,
-                  shares_from_logs, serialize_key, key_byte_length,
-                  KEY_HEADER_LEN)
+                  shares_from_logs, serialize_key, key_byte_length)
 from .errors import FamilyViolationError
 from .field import FieldElement
 from .interpolation import InterpolationScheme, hasse_monomial
@@ -307,7 +306,6 @@ class KeySizeAudit:
     h: int
     measured: int
     formula: int
-    header: int
 
     @property
     def ok(self) -> bool:
@@ -315,21 +313,19 @@ class KeySizeAudit:
 
 
 def measure_key_size(params: DpfParams, family: MatchingFamily,
-                     scheme: InterpolationScheme, seed: int = 0) -> KeySizeAudit:
+                     scheme: InterpolationScheme) -> KeySizeAudit:
     """Serialize a generated key and audit the closed-form byte count
     header + 2*(h+1)*tau*width."""
     import random
-    rng = random.Random(seed)
     func = PointFunction(family.size, params.p, 1, 1 % params.p)
-    key = keygen(params, family, scheme, func, rng)[0]
+    key = keygen(params, family, scheme, func, random.Random(0))[0]
     measured = len(serialize_key(params, key))
     return KeySizeAudit(h=family.h, measured=measured,
-                        formula=key_byte_length(params, family.h),
-                        header=KEY_HEADER_LEN)
+                        formula=key_byte_length(params, family.h))
 
 
 def key_size_sweep(params: DpfParams, scheme: InterpolationScheme,
-                   h_values=(2, 4, 8, 16, 32)) -> list[KeySizeAudit]:
+                   h_values) -> list[KeySizeAudit]:
     """Byte counts across an h sweep; the sequence is affine in h by
     construction, which realizes the linear-in-h key-size bound."""
     audits = []

@@ -28,6 +28,11 @@ accept loop until the new thread reports that it runs, which costs
 every connection extra thread switches.  An exception escaping a
 handler still reaches sys.unraisablehook.
 
+A `with EvalServer(...)` block serves on a daemon thread; leaving it
+calls shutdown(), which wakes a waiting accept at once, and joins it.
+The listening socket has no timeout: the wake-up is shutting it down
+(SHUT_RDWR), which ends a blocked accept on Linux.
+
 A PIR request is answered by dpf.pir_answer, with no full-domain
 evaluate_all: over F_{2^tau} with tables, ct of two field sums over the
 rows with db_x = 1, each an XOR of encodings; on any other field, one
@@ -38,6 +43,7 @@ encodings, using ct(y) = enc(y) mod p.
 from __future__ import annotations
 
 import _thread
+import contextlib
 import hashlib
 import json
 import socket
@@ -55,8 +61,8 @@ MAX_CONNECTIONS = 8     # connection handlers running at once
 # Shorter than the client's 10 s timeout, so a client queued behind idle
 # connections is served before it gives up.
 IDLE_TIMEOUT_S = 5.0
-# How often the accept loop checks for shutdown, while it waits for a
-# connection or for a free handler slot.
+# How often the accept loop checks for shutdown while it waits for a free
+# handler slot.  accept itself needs no poll: shutdown() wakes it.
 POLL_S = 0.2
 
 
@@ -119,9 +125,6 @@ class EvalServer:
         except OSError as exc:    # address in use, unknown or not local
             raise ParameterError(
                 f"cannot listen on {host}:{port}: {exc}") from exc
-        # Set once here: shutdown() may close the socket before the
-        # accept loop starts, and a closed socket just ends that loop.
-        self._sock.settimeout(POLL_S)
         self.port = self._sock.getsockname()[1]
         self._stop = threading.Event()
         self._conn_slots = threading.Semaphore(MAX_CONNECTIONS)
@@ -132,9 +135,7 @@ class EvalServer:
         while not self._stop.is_set():
             try:
                 conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:     # shut down, or closed before the loop began
                 break
             if self._wait_for_slot():
                 _thread.start_new_thread(self._serve_connection, (conn,))
@@ -149,17 +150,24 @@ class EvalServer:
                 return False
         return True
 
-    def start_background(self) -> threading.Thread:
-        t = threading.Thread(target=self.serve_forever, daemon=True)
-        t.start()
-        return t
+    def __enter__(self) -> EvalServer:
+        self._accept = threading.Thread(target=self.serve_forever, daemon=True)
+        self._accept.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+        # Bounded, so an accept loop that fails to stop is left alive for
+        # the caller to see instead of hanging it; it stops within POLL_S.
+        self._accept.join(1.0)
 
     def shutdown(self):
+        """Stop accepting: a waiting accept returns at once, a wait for a
+        slot within POLL_S.  Running handlers finish their connections."""
         self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):      # closed already
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
 
     # -- request handling -----------------------------------------------------
 

@@ -14,7 +14,7 @@ import time
 
 from itdpf.cli import main
 from itdpf.client import run_query
-from itdpf.dpf import PointFunction, evaluate_key, keygen
+from itdpf.dpf import KEY_HEADER_LEN, PointFunction, evaluate_key, keygen
 from itdpf.errors import FamilyViolationError
 from itdpf.interpolation import (InterpolationScheme, build_scheme,
                                  verify_scheme)
@@ -156,7 +156,7 @@ def test_criterion_6_perfect_security_enumeration(params_b, scheme_b,
 def test_criterion_7_key_size_formula(params_a, scheme_a):
     audits = key_size_sweep(params_a, scheme_a, (2, 4, 8, 16, 32))
     slope = 2 * params_a.tau * 1
-    residual = sum(abs(a.measured - (a.header + slope * (a.h + 1)))
+    residual = sum(abs(a.measured - (KEY_HEADER_LEN + slope * (a.h + 1)))
                    for a in audits)
     ok = all(a.ok for a in audits) and residual == 0
     _announce(7, ok, f"measured bytes match header + 2(h+1)*tau*width for "

@@ -72,10 +72,8 @@ def test_check_key_rejects_index_slot_disagreement(params_b, scheme_b,
 
 @pytest.fixture
 def server0(params_b, scheme_b, family_b8):
-    server = EvalServer(0, params_b, family_b8, scheme_b, db=[0] * 8)
-    server.start_background()
-    yield server
-    server.shutdown()
+    with EvalServer(0, params_b, family_b8, scheme_b, db=[0] * 8) as server:
+        yield server
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -29,15 +30,10 @@ def fleet(params_b, scheme_b, family_b8):
     db = [rng.randrange(5) for _ in range(8)]
     raw = ("\n".join(str(v) for v in db) + "\n").encode()
     digest = hashlib.sha256(raw).digest()
-    servers = [
-        EvalServer(i, params_b, family_b8, scheme_b, db, digest)
-        for i in range(2 * scheme_b.n)
-    ]
-    for server in servers:
-        server.start_background()
-    yield servers, db
-    for server in servers:
-        server.shutdown()
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(
+                   EvalServer(i, params_b, family_b8, scheme_b, db, digest))
+               for i in range(2 * scheme_b.n)], db
 
 
 def _addresses(servers):
@@ -147,12 +143,12 @@ def test_key_is_bound_to_its_connection(fleet, params_b, scheme_b,
 
 def test_handlers_release_their_slots(params_b, scheme_b, family_b8):
     # Handler threads are not in threading.enumerate(), so a leak shows
-    # as a slot never given back.  The accept thread ends soon after
-    # shutdown().
-    servers = [EvalServer(i, params_b, family_b8, scheme_b, [1] * 8)
-               for i in range(2 * scheme_b.n)]
-    accept_threads = [server.start_background() for server in servers]
-    try:
+    # as a slot never given back.  Leaving the block ends every accept
+    # thread.
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(
+                       EvalServer(i, params_b, family_b8, scheme_b, [1] * 8))
+                   for i in range(2 * scheme_b.n)]
         for seed in range(4):
             assert run_query(_addresses(servers), params_b, family_b8,
                              scheme_b, alpha=seed + 1, beta=1, seed=seed,
@@ -166,13 +162,7 @@ def test_handlers_release_their_slots(params_b, scheme_b, family_b8):
             assert not slots.acquire(blocking=False)
             for _ in range(server_mod.MAX_CONNECTIONS):
                 slots.release()
-    finally:
-        for server in servers:
-            server.shutdown()
-        stopped = time.monotonic()
-    for thread in accept_threads:
-        thread.join(max(0.0, stopped + 1.0 - time.monotonic()))
-        assert not thread.is_alive()
+    assert not any(server._accept.is_alive() for server in servers)
 
 
 def test_idle_connections_do_not_starve_a_server(fleet, params_b, scheme_b,
@@ -206,11 +196,9 @@ def test_trickling_client_is_closed(params_b, scheme_b, family_b8,
     # arrive within it: the server closes the connection and frees its
     # handler slot.
     monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 0.5)
-    server = EvalServer(0, params_b, family_b8, scheme_b)
-    accept = server.start_background()
     frame = protocol.pack(protocol.KEY_UPLOAD, bytes(200))
     closed_after = None
-    try:
+    with EvalServer(0, params_b, family_b8, scheme_b) as server:
         with socket.create_connection(("127.0.0.1", server.port),
                                       timeout=5) as sock:
             start = time.monotonic()
@@ -230,10 +218,7 @@ def test_trickling_client_is_closed(params_b, scheme_b, family_b8,
             assert slots.acquire(timeout=1)
         for _ in range(server_mod.MAX_CONNECTIONS):
             slots.release()
-    finally:
-        server.shutdown()
-    accept.join(1)
-    assert not accept.is_alive()
+    assert not server._accept.is_alive()
 
 
 def test_shutdown_with_every_slot_held(params_b, scheme_b, family_b8,
@@ -242,28 +227,35 @@ def test_shutdown_with_every_slot_held(params_b, scheme_b, family_b8,
     # one.  shutdown() ends the accept loop within a second, and the
     # ninth is closed unserved: its request gets no reply.
     monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 3.0)
-    server = EvalServer(0, params_b, family_b8, scheme_b)
-    accept = server.start_background()
-    idle = [socket.create_connection(("127.0.0.1", server.port), timeout=5)
-            for _ in range(server_mod.MAX_CONNECTIONS)]
-    try:
-        queued = socket.create_connection(("127.0.0.1", server.port),
-                                          timeout=5)
-        idle.append(queued)
+    with contextlib.ExitStack() as stack:
+        server = stack.enter_context(
+            EvalServer(0, params_b, family_b8, scheme_b))
+        *_, queued = [stack.enter_context(socket.create_connection(
+                          ("127.0.0.1", server.port), timeout=5))
+                      for _ in range(server_mod.MAX_CONNECTIONS + 1)]
         queued.sendall(protocol.pack(protocol.EVAL_REQ, (1).to_bytes(4, "big")))
         time.sleep(0.3)                 # the accept loop waits for a slot
         server.shutdown()
-        accept.join(1)
-        assert not accept.is_alive()
+        server._accept.join(1)
+        assert not server._accept.is_alive()
         try:
             reply = queued.recv(1)
         except ConnectionResetError:    # closed with the request unread
             reply = b""
         assert reply == b""
-    finally:
-        server.shutdown()
-        for sock in idle:
-            sock.close()
+
+
+def test_leaving_the_block_wakes_a_waiting_accept(params_b, scheme_b,
+                                                  family_b8, monkeypatch):
+    # The accept loop waits in accept with no timeout, and a 30 s POLL_S
+    # rules out a poll: only shutting the listening socket down ends the
+    # loop within a second.
+    monkeypatch.setattr(server_mod, "POLL_S", 30.0)
+    with EvalServer(0, params_b, family_b8, scheme_b) as server:
+        time.sleep(0.2)                 # the accept loop waits in accept
+        leaving = time.monotonic()
+    assert time.monotonic() - leaving < 1
+    assert not server._accept.is_alive()
 
 
 def test_frame_read_in_pieces():
@@ -324,19 +316,15 @@ REPLY_CASES = {
 def test_malformed_reply_is_query_error(params_b, scheme_b, family_b8, case):
     # Every server tampers alike, so no digest diverges.
     msg_type, payload, pir, match = REPLY_CASES[case]
-    servers = [_TamperingServer(i, params_b, family_b8, scheme_b, [1] * 8,
-                                tamper=(msg_type, payload))
-               for i in range(2 * scheme_b.n)]
-    for server in servers:
-        server.start_background()
-    try:
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(_TamperingServer(
+                       i, params_b, family_b8, scheme_b, [1] * 8,
+                       tamper=(msg_type, payload)))
+                   for i in range(2 * scheme_b.n)]
         with pytest.raises(QueryError, match=match):
             run_query(_addresses(servers), params_b, family_b8, scheme_b,
                       alpha=2, beta=1, seed=0,
                       **({"pir": True} if pir else {"x": 2}))
-    finally:
-        for server in servers:
-            server.shutdown()
 
 
 class _EmptyErrorServer(EvalServer):
@@ -350,17 +338,13 @@ class _EmptyErrorServer(EvalServer):
 def test_empty_error_reply_is_query_error(params_b, scheme_b, family_b8):
     """error_name() of an empty ERROR payload raises WireError, which
     escaped run_query instead of the QueryError it promises."""
-    servers = [_EmptyErrorServer(i, params_b, family_b8, scheme_b, [1] * 8)
-               for i in range(2 * scheme_b.n)]
-    for server in servers:
-        server.start_background()
-    try:
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(_EmptyErrorServer(
+                       i, params_b, family_b8, scheme_b, [1] * 8))
+                   for i in range(2 * scheme_b.n)]
         with pytest.raises(QueryError, match="without an error code"):
             run_query(_addresses(servers), params_b, family_b8, scheme_b,
                       alpha=2, beta=1, seed=0, pir=True)
-    finally:
-        for server in servers:
-            server.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +363,10 @@ def test_trace_contract(fleet, params_b, scheme_b, family_b8, monkeypatch,
     servers, _ = fleet
     n2 = len(servers)
     counts = {}
-    handler_threads = {}        # client port -> server threads reading it
+    # (server port, client port) -> server threads reading that connection.
+    # A client port alone is not unique: Linux may give two connections
+    # to different servers the same one.
+    handler_threads = {}
     lock = threading.Lock()
 
     def counted(owner, name, fn, on_call=None):
@@ -394,7 +381,8 @@ def test_trace_contract(fleet, params_b, scheme_b, family_b8, monkeypatch,
 
     def handler_read(sock):
         if threading.current_thread() is not threading.main_thread():
-            handler_threads.setdefault(sock.getpeername()[1], set()).add(
+            handler_threads.setdefault(
+                (sock.getsockname()[1], sock.getpeername()[1]), set()).add(
                 threading.get_ident())
 
     counted(client_mod, "client.keygen", client_mod.keygen)
@@ -536,19 +524,15 @@ def test_pir_round_over_product_family(params_a, scheme_a):
     family = product_family(params_a, h=12)
     rng = random.Random(3)
     db = [rng.randrange(2) for _ in range(family.size)]
-    servers = [EvalServer(i, params_a, family, scheme_a, db)
-               for i in range(2 * scheme_a.n)]
-    for server in servers:
-        server.start_background()
-    try:
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(
+                       EvalServer(i, params_a, family, scheme_a, db))
+                   for i in range(2 * scheme_a.n)]
         for alpha in (1, 2, 22, 43, 64):
             result = run_query(_addresses(servers), params_a, family,
                                scheme_a, alpha=alpha, beta=1, seed=alpha,
                                pir=True)
             assert result.value == db[alpha - 1]
-    finally:
-        for server in servers:
-            server.shutdown()
 
 
 def test_repeated_queries_reuse_servers(fleet, params_b, scheme_b, family_b8):
@@ -569,17 +553,13 @@ def test_restarted_server_reproduces_responses(params_b, scheme_b, family_b8):
     blob = serialize_key(params_b, keys[0])
 
     def one_round():
-        server = EvalServer(0, params_b, family_b8, scheme_b)
-        server.start_background()
-        try:
-            with socket.create_connection(("127.0.0.1", server.port)) as sock:
-                assert protocol.request(sock, protocol.KEY_UPLOAD,
-                                        blob).type == protocol.KEY_UPLOAD
-                return [protocol.request(sock, protocol.EVAL_REQ,
-                                         x.to_bytes(4, "big")).payload
-                        for x in range(1, 9)]
-        finally:
-            server.shutdown()
+        with EvalServer(0, params_b, family_b8, scheme_b) as server, \
+                socket.create_connection(("127.0.0.1", server.port)) as sock:
+            assert protocol.request(sock, protocol.KEY_UPLOAD,
+                                    blob).type == protocol.KEY_UPLOAD
+            return [protocol.request(sock, protocol.EVAL_REQ,
+                                     x.to_bytes(4, "big")).payload
+                    for x in range(1, 9)]
 
     assert one_round() == one_round()
 
@@ -601,22 +581,14 @@ def test_unreachable_server_aborts_before_any_upload(
 
 
 def test_divergent_databases_detected(params_b, scheme_b, family_b8):
-    n2 = 2 * scheme_b.n
-    db = [1] * 8
-    servers = []
-    try:
-        for i in range(n2):
-            digest = hashlib.sha256(bytes([i == 0])).digest()  # one differs
-            servers.append(EvalServer(i, params_b, family_b8, scheme_b,
-                                      db, digest))
-        for s in servers:
-            s.start_background()
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(EvalServer(
+                       i, params_b, family_b8, scheme_b, [1] * 8,
+                       hashlib.sha256(bytes([i == 0])).digest()))  # one differs
+                   for i in range(2 * scheme_b.n)]
         with pytest.raises(QueryError, match="divergent"):
             run_query(_addresses(servers), params_b, family_b8, scheme_b,
                       alpha=1, beta=1, seed=0, pir=True)
-    finally:
-        for s in servers:
-            s.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from itdpf import oracles
-from itdpf.dpf import PointFunction, make_shares
+from itdpf.dpf import KEY_HEADER_LEN, PointFunction, make_shares
 from itdpf.errors import FamilyViolationError
 from itdpf.interpolation import InterpolationScheme
 from itdpf.matching import MatchingFamily, product_family, trivial_family
@@ -308,7 +308,7 @@ def test_two_share_collusion_leaks_the_index(params_b, scheme_b, family_b8):
 def test_key_size_binary_fixture(params_a, scheme_a, family_a16):
     audit = measure_key_size(params_a, family_a16, scheme_a)
     assert audit.measured == audit.formula == 313   # 7 + 2*17*9*1
-    assert audit.header == 7
+    assert KEY_HEADER_LEN == 7
 
 
 def test_key_size_minimal_h(params_b, scheme_b):
@@ -319,13 +319,13 @@ def test_key_size_minimal_h(params_b, scheme_b):
 
 
 def test_key_size_sweep_is_affine(params_a, scheme_a):
-    audits = key_size_sweep(params_a, scheme_a)
+    audits = key_size_sweep(params_a, scheme_a, (2, 4, 8, 16, 32))
     assert [a.h for a in audits] == [2, 4, 8, 16, 32]
     slope = 2 * params_a.tau * 1
     for audit in audits:
         assert audit.ok
-        assert audit.measured == audit.header + slope * (audit.h + 1)
+        assert audit.measured == KEY_HEADER_LEN + slope * (audit.h + 1)
     # doubling h doubles the payload: payload(2h) = 2*payload(h) - slope
-    by_h = {a.h: a.measured - a.header for a in audits}
+    by_h = {a.h: a.measured - KEY_HEADER_LEN for a in audits}
     for h in (2, 4, 8, 16):
         assert by_h[2 * h] == 2 * by_h[h] - slope

@@ -2,7 +2,7 @@
 
 Hypothesis drives up to four raw sockets against server 0 of an
 in-process fleet (F_25, the basis family at h = 8, a db of 8 residues,
-all 2n servers started through start_background).  The model tracks
+all 2n servers serving in one ExitStack).  The model tracks
 which sockets are open and the key each holds; a refused upload keeps
 the old key.  Every reply must equal what evaluate_key or pir_answer
 give in process for that socket's key, or be an ERROR frame with the
@@ -21,6 +21,7 @@ patched to 2 s, far above any pause here; nothing about timing is
 asserted beyond that bound.
 """
 
+import contextlib
 import hashlib
 import random
 import select
@@ -276,13 +277,10 @@ class ServerModel(RuleBasedStateMachine):
 
 @pytest.fixture
 def fleet():
-    servers = [EvalServer(i, PARAMS, FAMILY, SCHEME, DB, DIGEST)
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(
+                   EvalServer(i, PARAMS, FAMILY, SCHEME, DB, DIGEST))
                for i in range(2 * SCHEME.n)]
-    for server in servers:
-        server.start_background()
-    yield servers
-    for server in servers:
-        server.shutdown()
 
 
 def test_server_follows_the_model(fleet, monkeypatch):
